@@ -1,4 +1,4 @@
-// ABL — ablations for the design choices DESIGN.md calls out:
+// ABL — ablations for the design choices the reproduction had to make:
 //
 //  A. executor: in-place shared-state vs split/merge (deep copies) — the
 //     overhead the split/merge path pays per phase, which fig. 2 measures.

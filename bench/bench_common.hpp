@@ -1,7 +1,7 @@
 #pragma once
 
 // Shared setup for the figure/table reproduction benches. Each bench binary
-// regenerates one artefact of the paper's evaluation; EXPERIMENTS.md records
+// regenerates one artefact of the paper's evaluation and prints the
 // paper-vs-measured values. All benches accept:
 //   --paper-scale   full 1024x1024 / 500k-iteration workloads (§VII scale)
 //   --runs=N        repetition count where averaging applies

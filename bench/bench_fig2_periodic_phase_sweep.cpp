@@ -7,7 +7,8 @@
 //
 // The split/merge executor provides the real per-phase overhead the figure
 // measures; the 4-thread virtual clock provides the quad-core wall time
-// (this container has one core; see DESIGN.md §2).
+// (the virtual clock models a quad-core on any host; see
+// par::VirtualClock).
 
 #include <iostream>
 

@@ -19,8 +19,8 @@ enum class LocalExecutor : std::uint8_t {
   /// undisturbed).
   Serial,
   /// Shared-memory concurrency on the library ThreadPool; workers mutate the
-  /// shared state under the legality margin (DESIGN.md §5) and accumulate
-  /// scalar deltas thread-locally.
+  /// shared state under the legality margin (partition::
+  /// inPlaceSafetyMargin) and accumulate scalar deltas thread-locally.
   InPlacePool,
   /// As InPlacePool but on OpenMP threads.
   InPlaceOmp,
@@ -60,9 +60,10 @@ struct PeriodicParams {
   unsigned threads = 0;  ///< real worker threads (0 = hardware)
 
   /// When > 0, also account a virtual wall clock for an SMP with this many
-  /// threads (requires a serial executor so per-partition costs can be
-  /// measured; see DESIGN.md §2). Adds makespan(partition costs) per local
-  /// phase plus the measured split/merge overhead.
+  /// threads (requires a serial executor so per-partition costs are
+  /// measured undisturbed; see par::VirtualClock). Adds
+  /// makespan(partition costs) per local phase plus the measured
+  /// split/merge overhead.
   unsigned virtualThreads = 0;
 
   /// Speculative lanes during global phases (eq. 3); 1 disables.

@@ -28,10 +28,10 @@ struct ClusterSpec {
 
 /// Parameters of the synthetic scene generator.
 ///
-/// The generator substitutes for the paper's micrographs (see DESIGN.md §2):
-/// it renders soft-edged bright discs on a dark background, adds an optional
-/// illumination gradient and Gaussian pixel noise, and returns the ground
-/// truth so experiments can score precision/recall.
+/// The generator substitutes for the paper's micrographs, which the repo
+/// does not have: it renders soft-edged bright discs on a dark background,
+/// adds an optional illumination gradient and Gaussian pixel noise, and
+/// returns the ground truth so experiments can score precision/recall.
 struct SceneSpec {
   int width = 512;
   int height = 512;

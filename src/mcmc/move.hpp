@@ -21,8 +21,9 @@ enum class MoveKind : std::uint8_t { Global, Local };
 /// strictly inside `rect`; proposals must keep it so. This is the paper's
 /// legality rule: "no feature may be created or moved such that any part of
 /// it (or its prior/likelihood considered area) intersects with its
-/// partition's boundary". The margin also provides the torn-read safety
-/// analysed in DESIGN.md §5 for the in-place executor.
+/// partition's boundary". The margin also keeps the in-place executor free
+/// of torn reads: concurrent phases never read each other's geometry
+/// (partition::inPlaceSafetyMargin).
 struct RegionConstraint {
   model::Bounds rect;
   double margin = 0.0;

@@ -93,7 +93,7 @@ class ModelState {
   std::pair<CircleId, CircleId> commitSplit(CircleId id, const Circle& c1,
                                             const Circle& c2);
 
-  // --- executor API (see DESIGN.md §5) -------------------------------------
+  // --- executor API (safety margin: partition/legality.hpp) ---------------
   // The periodic executors need finer-grained access: the in-place executor
   // commits replaces from worker threads accumulating scalar deltas locally,
   // and the split/merge executor writes back geometry whose likelihood

@@ -15,8 +15,8 @@ namespace mcmcpar::model {
 ///
 /// Concurrency contract (relied on by the in-place periodic executor): a
 /// mutation touches only the bucket(s) containing the old and new centre.
-/// Partition legality guarantees concurrent phases mutate disjoint buckets;
-/// see DESIGN.md §5.
+/// Partition legality guarantees concurrent phases mutate disjoint buckets
+/// (partition::inPlaceSafetyMargin keeps modifiable circles a cell away).
 class SpatialGrid {
  public:
   SpatialGrid() = default;

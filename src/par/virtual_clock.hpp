@@ -27,8 +27,8 @@ class WallTimer {
 /// This container has a single physical core, but the paper's experiments
 /// compare wall times on 2-4 core machines. The virtual executors run
 /// parallel regions serially, measure each task, and charge this clock the
-/// makespan an s-thread machine would achieve (see DESIGN.md §2). Serial
-/// sections are charged at face value.
+/// makespan an s-thread machine would achieve (the per-task costs list-
+/// scheduled on s threads). Serial sections are charged at face value.
 class VirtualClock {
  public:
   /// Charge a serial section.

@@ -28,7 +28,7 @@ namespace mcmcpar::partition {
 /// Safety margin for the in-place executor: modifiable circles must be far
 /// enough from partition boundaries that concurrent phases touch disjoint
 /// spatial-grid buckets and never read each other's geometry (torn reads).
-/// DESIGN.md §5 derives margin > radiusMax/2 + cellSize; twice the cell
+/// The required bound is margin > radiusMax/2 + cellSize; twice the cell
 /// size satisfies it with headroom.
 [[nodiscard]] double inPlaceSafetyMargin(const model::ModelState& state);
 

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "engine/engine.hpp"
+#include "obs/trace.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/server.hpp"
 
@@ -27,8 +28,15 @@ inline constexpr const char* kErrQueueFull = "QUEUE_FULL";
 inline constexpr const char* kErrTooLarge = "TOO_LARGE";
 inline constexpr const char* kErrBadFrame = "BAD_FRAME";
 
-/// JSON string escaping (quotes, backslashes, control characters).
-[[nodiscard]] std::string jsonEscape(const std::string& text);
+/// JSON string escaping: the one definition lives with the tracer.
+using obs::jsonEscape;
+
+/// Exact round-trip formatting (%.17g) for values another process computes
+/// with: circle coordinates feed the shard coordinator's stitcher and the
+/// coordinator's prior rides tile job lines, so strtod on the far side
+/// recovers each double bit-for-bit and remote tiles reproduce the local
+/// backend exactly.
+[[nodiscard]] std::string numExact(double value);
 
 /// One job's terminal outcome as single-line JSON — the RESULT payload and
 /// one element of a watch-mode result file.

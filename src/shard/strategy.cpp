@@ -1,12 +1,7 @@
-// The "sharded" strategy: a coordinator that decomposes one Problem image
-// into K x L overlapping tiles (shard/tiling), runs each tile as an
-// independent job — locally through engine::BatchRunner under the shared
-// PoolBudget, or remotely through serve::Client against one or more
-// mcmcpar_serve endpoints — and stitches the per-tile results back into one
-// RunReport (shard/stitcher), carrying the tile layout and reconciliation
-// accounting as a ShardReport. This is the first subsystem that composes
-// the serving layer with itself: a served job whose line carries @shard
-// becomes a coordinator fanning out to the very queue that runs it.
+// The "sharded" strategy (shard/strategy.hpp): tile, fan out over the local
+// or socket backend, stitch. A served job whose line carries @shard becomes
+// a coordinator fanning out to the very queue that runs it: the serving
+// layer composed with itself.
 
 #include "shard/strategy.hpp"
 
@@ -14,14 +9,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <iterator>
-#include <mutex>
+#include <functional>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -34,9 +29,10 @@
 #include "par/concurrency.hpp"
 #include "par/virtual_clock.hpp"
 #include "partition/prior_estimation.hpp"
+#include "serve/protocol.hpp"
 #include "serve/socket.hpp"
 #include "shard/endpoints.hpp"
-#include "shard/hedge.hpp"
+#include "shard/fanout.hpp"
 #include "shard/remote.hpp"
 #include "shard/report.hpp"
 #include "shard/stitcher.hpp"
@@ -45,15 +41,6 @@
 namespace mcmcpar::shard {
 
 namespace {
-
-/// Exact round-trip formatting for prior directives: the remote server's
-/// strtod recovers the coordinator's double bit-for-bit, so the socket
-/// backend samples under the identical prior the local backend would.
-std::string fmtExact(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 /// Shard-layer metric handles. Get-or-create on every call is fine here:
 /// these sites fire per tile or per run, never per iteration.
@@ -65,26 +52,35 @@ obs::Histogram& shardSeconds(const char* name, const char* help) {
   return obs::Registry::global().histogram(name, help, obs::latencyBuckets());
 }
 
-/// Trace rows for tile flights: the coordinator observes them from a poll
-/// loop, not a call stack, so each tile gets its own synthetic timeline row
-/// (fan-out and stitch spans stay on the coordinator's real thread row).
-constexpr std::int64_t kTileTrackBase = 100;
+using Clock = std::chrono::steady_clock;
 
-/// One tile's outcome in coordinator-neutral form, before stitching.
-struct TileOutcome {
-  std::uint64_t iterations = 0;
-  double wallSeconds = 0.0;
-  double acceptanceRate = 0.0;
-  double logPosterior = 0.0;
-  bool cancelled = false;
-  std::string error;
-  std::vector<model::Circle> circles;  ///< crop-local coordinates
-  mcmc::Diagnostics diagnostics;       ///< local backend only
-  std::optional<std::uint64_t> itersToConverge;
-  std::string endpoint;   ///< socket backend: "host:port" that ran it
-  unsigned attempts = 0;  ///< socket backend: submissions incl. requeues
-  bool hedged = false;    ///< this result came from a hedge replica
+double secondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// What a backend hands the merge: one ShardReport row per tile (plus the
+/// socket fan-out's counters) and each tile's crop-local detections.
+struct BackendResult {
+  ShardReport report;
+  std::vector<std::vector<model::Circle>> circles;
+  /// Local backend only (remote reports carry no trace): like the §IX
+  /// pipelines, the shard converges when its slowest tile does.
+  std::optional<std::uint64_t> iterationsToConverge;
 };
+
+/// Whole-shard progress in mcmc::RunProgress's unit, logical iterations:
+/// each resolved tile adds its full budget, so both backends beat alike
+/// and end at (sum of budgets, sum of budgets).
+std::function<void(std::size_t)> progressBeat(
+    const engine::RunHooks& hooks, const std::vector<std::uint64_t>& budgets) {
+  const std::uint64_t total =
+      std::accumulate(budgets.begin(), budgets.end(), std::uint64_t{0});
+  return [&hooks, &budgets, total, done = std::uint64_t{0}](
+             std::size_t tile) mutable {
+    done += budgets[tile];
+    hooks.progress(done, total, "shard");
+  };
+}
 
 class ShardStrategy final : public engine::Strategy {
  public:
@@ -101,29 +97,23 @@ class ShardStrategy final : public engine::Strategy {
       try {
         parseTileCount(tiles, gridX_, gridY_);
       } catch (const std::invalid_argument& e) {
-        throw engine::EngineError("strategy '" + name_ + "': " + e.what());
+        reject(e.what());
       }
     }
     const std::uint64_t maxTiles = options.u64("max-tiles", 0);
     if (maxTiles > 4096) {
-      throw engine::EngineError("strategy '" + name_ +
-                                "': max-tiles must be <= 4096, got " +
-                                std::to_string(maxTiles));
+      reject("max-tiles must be <= 4096, got " + std::to_string(maxTiles));
     }
     maxTiles_ = static_cast<int>(maxTiles);
     const std::uint64_t minTileSize = options.u64("min-tile-size", 32);
     if (minTileSize == 0 || minTileSize > 1000000) {
-      throw engine::EngineError(
-          "strategy '" + name_ +
-          "': min-tile-size must be in [1, 1000000], got " +
-          std::to_string(minTileSize));
+      reject("min-tile-size must be in [1, 1000000], got " +
+             std::to_string(minTileSize));
     }
     minTileSize_ = static_cast<int>(minTileSize);
     hedgeFactor_ = options.dbl("hedge-factor", 0.0);
     if (hedgeFactor_ < 0.0) {
-      throw engine::EngineError("strategy '" + name_ +
-                                "': hedge-factor must be >= 0 (0 disables "
-                                "hedging)");
+      reject("hedge-factor must be >= 0 (0 disables hedging)");
     }
     // Bound before the int cast so halo=3000000000 is rejected right here
     // at admission with a clear message, not at run time on a worker after
@@ -131,9 +121,7 @@ class ShardStrategy final : public engine::Strategy {
     // and makeTileGrid clamps to the image anyway.
     const std::uint64_t halo = options.u64("halo", 16);
     if (halo > 1000000) {
-      throw engine::EngineError("strategy '" + name_ +
-                                "': halo must be <= 1000000 pixels, got " +
-                                std::to_string(halo));
+      reject("halo must be <= 1000000 pixels, got " + std::to_string(halo));
     }
     halo_ = static_cast<int>(halo);
     tileIters_ = options.u64("tile-iters", 0);
@@ -142,42 +130,32 @@ class ShardStrategy final : public engine::Strategy {
     timeoutSeconds_ = options.dbl("timeout", 600.0);
 
     const std::string backend = options.str("backend", "local");
-    if (backend == "local") {
-      socketBackend_ = false;
-    } else if (backend == "socket") {
-      socketBackend_ = true;
-    } else {
-      throw engine::EngineError("strategy '" + name_ +
-                                "': backend must be 'local' or 'socket', "
-                                "got '" +
-                                backend + "'");
+    socketBackend_ = backend == "socket";
+    if (!socketBackend_ && backend != "local") {
+      reject("backend must be 'local' or 'socket', got '" + backend + "'");
     }
     try {
       endpoints_ = parseEndpointList(options.str("endpoints", ""));
       const std::string endpointsFile = options.str("endpoints-file", "");
       if (!endpointsFile.empty()) {
-        std::vector<Endpoint> fromFile = loadEndpointsFile(endpointsFile);
-        endpoints_.insert(endpoints_.end(),
-                          std::make_move_iterator(fromFile.begin()),
-                          std::make_move_iterator(fromFile.end()));
+        for (Endpoint& endpoint : loadEndpointsFile(endpointsFile)) {
+          endpoints_.push_back(std::move(endpoint));
+        }
       }
     } catch (const engine::EngineError& e) {
-      throw engine::EngineError("strategy '" + name_ + "': " + e.what());
+      reject(e.what());
     }
     if (socketBackend_ && endpoints_.empty()) {
-      throw engine::EngineError(
-          "strategy '" + name_ +
-          "': backend=socket requires endpoints=host:port[*weight][,...] "
-          "or endpoints-file=PATH");
+      reject(
+          "backend=socket requires endpoints=host:port[*weight][,...] or "
+          "endpoints-file=PATH");
     }
     pingTimeout_ = options.dbl("ping-timeout", 5.0);
     pingInterval_ = options.dbl("ping-interval", 30.0);
 
     innerStrategy_ = options.str("strategy", "serial");
     if (innerStrategy_ == name_) {
-      throw engine::EngineError("strategy '" + name_ +
-                                "': recursive sharding (strategy=" + name_ +
-                                ") is not supported");
+      reject("recursive sharding (strategy=" + name_ + ") is not supported");
     }
     for (const std::string& key : options.keysWithPrefix("inner.")) {
       innerOptions_.push_back(key.substr(6) + "=" + options.str(key, ""));
@@ -191,8 +169,7 @@ class ShardStrategy final : public engine::Strategy {
       (void)registry_->create(innerStrategy_, engine::ExecResources{},
                               innerOptions_);
     } catch (const engine::EngineError& e) {
-      throw engine::EngineError("strategy '" + name_ +
-                                "': inner strategy rejected: " + e.what());
+      reject(std::string("inner strategy rejected: ") + e.what());
     }
   }
 
@@ -201,10 +178,7 @@ class ShardStrategy final : public engine::Strategy {
   }
 
   void prepare(const engine::Problem& problem) override {
-    if (problem.filtered == nullptr) {
-      throw engine::EngineError("strategy '" + name_ +
-                                "': Problem.filtered image is null");
-    }
+    if (problem.filtered == nullptr) reject("Problem.filtered image is null");
     problem_ = problem;
     prior_ = problem.prior;
     // Whole-image count estimate: only used to score the *merged* model, so
@@ -221,10 +195,7 @@ class ShardStrategy final : public engine::Strategy {
   [[nodiscard]] engine::RunReport run(
       const engine::RunBudget& budget,
       const engine::RunHooks& hooks) override {
-    if (!prepared_) {
-      throw engine::EngineError("strategy '" + name_ +
-                                "': run() called before prepare()");
-    }
+    if (!prepared_) reject("run() called before prepare()");
     const img::ImageF& image = *problem_.filtered;
     // Content-density scan: one cheap pass over coarse blocks feeds the §IX
     // runtime predictor with per-region activity, which drives adaptive
@@ -239,46 +210,38 @@ class ShardStrategy final : public engine::Strategy {
                  : makeTileGrid(image.width(), image.height(), gridX_,
                                 gridY_, halo_);
     } catch (const std::invalid_argument& e) {
-      throw engine::EngineError("strategy '" + name_ + "': " + e.what());
+      reject(e.what());
     }
 
     const std::vector<std::uint64_t> budgets =
         tileBudgets(grid, budget, density);
-    std::vector<double> predicted;
-    predicted.reserve(grid.tiles.size());
-    for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
-      predicted.push_back(core::predictCostSeconds(
-          budgets[i], regionMeanActivity(density, grid.tiles[i].core)));
-    }
     const par::WallTimer timer;
     obs::Span runSpan("shard", "shard-run");
     runSpan.arg("backend", socketBackend_ ? "socket" : "local");
     runSpan.arg("tiles", std::to_string(grid.tiles.size()));
-    const std::vector<TileOutcome> outcomes =
-        socketBackend_ ? runSocket(grid, budgets, predicted, budget, hooks)
+    BackendResult result =
+        socketBackend_ ? runSocket(grid, budgets, density, budget, hooks)
                        : runLocal(grid, budgets, budget, hooks);
 
-    std::size_t failures = 0;
-    std::string firstError;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (outcomes[i].error.empty()) continue;
-      ++failures;
-      if (firstError.empty()) {
-        firstError = tileLabel(grid.tiles[i]) + ": " + outcomes[i].error;
-      }
-    }
-    if (failures > 0) {
-      // A missing tile is a missing image region: the merged model would
-      // silently under-count, so a failed tile fails the shard run.
-      throw engine::EngineError("strategy '" + name_ + "': " +
-                                std::to_string(failures) +
-                                " tile job(s) failed; first: " + firstError);
+    // A missing tile is a missing image region: the merged model would
+    // silently under-count, so a failed tile fails the shard run.
+    for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
+      const std::string& error = result.report.tiles[i].error;
+      if (error.empty()) continue;
+      reject(std::to_string(result.report.tileFailures()) +
+             " tile job(s) failed; first: " + tileLabel(grid.tiles[i]) +
+             ": " + error);
     }
 
-    return mergeOutcomes(grid, outcomes, timer);
+    return merge(grid, std::move(result), timer);
   }
 
  private:
+  /// Every admission and run error names the strategy.
+  [[noreturn]] void reject(const std::string& what) const {
+    throw engine::EngineError("strategy '" + name_ + "': " + what);
+  }
+
   [[nodiscard]] static std::string tileLabel(const TileSpec& tile) {
     return "tile-" + std::to_string(tile.ix) + "x" + std::to_string(tile.iy);
   }
@@ -303,22 +266,17 @@ class ShardStrategy final : public engine::Strategy {
   [[nodiscard]] std::vector<std::uint64_t> tileBudgets(
       const TileGrid& grid, const engine::RunBudget& budget,
       const DensityMap& density) const {
+    if (tileIters_ != 0) {
+      return std::vector<std::uint64_t>(grid.tiles.size(), tileIters_);
+    }
     std::vector<std::uint64_t> budgets;
     budgets.reserve(grid.tiles.size());
-    if (tileIters_ != 0) {
-      budgets.assign(grid.tiles.size(), tileIters_);
-      return budgets;
-    }
     const double densityWeight = core::defaultCostCalibration().densityWeight;
     std::vector<double> work;
-    work.reserve(grid.tiles.size());
-    double totalWork = 0.0;
     for (const TileSpec& tile : grid.tiles) {
-      const double w =
-          regionWorkload(density, tile.core, densityWeight);
-      work.push_back(w);
-      totalWork += w;
+      work.push_back(regionWorkload(density, tile.core, densityWeight));
     }
+    const double totalWork = std::accumulate(work.begin(), work.end(), 0.0);
     for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
       const double share =
           totalWork > 0.0
@@ -331,48 +289,51 @@ class ShardStrategy final : public engine::Strategy {
     return budgets;
   }
 
+  /// A caller-fixed whole-image count scaled to the tile's area share:
+  /// copying it verbatim would make every tile expect the whole image's
+  /// circles. (With estimateCount on, each tile re-estimates its own
+  /// expected count from its crop, eq. 5.)
+  [[nodiscard]] double tileExpectedCount(const TileSpec& tile) const {
+    const double share = static_cast<double>(tile.core.area()) /
+                         static_cast<double>(problem_.filtered->pixelCount());
+    return std::max(problem_.prior.expectedCount * share, 0.5);
+  }
+
   [[nodiscard]] engine::Problem tileProblem(const img::ImageF& crop,
                                             const TileSpec& tile) const {
     engine::Problem problem = problem_;
     problem.filtered = &crop;
-    // With estimateCount on, each tile re-estimates its own expected count
-    // from its crop (eq. 5). With it off, the caller's fixed whole-image
-    // count must be scaled to the tile's area share — copying it verbatim
-    // would make every tile expect the whole image's circles.
     if (!problem_.estimateCount) {
-      const double share =
-          static_cast<double>(tile.core.area()) /
-          static_cast<double>(problem_.filtered->pixelCount());
-      problem.prior.expectedCount =
-          std::max(problem_.prior.expectedCount * share, 0.5);
+      problem.prior.expectedCount = tileExpectedCount(tile);
     }
     return problem;
   }
 
-  // ---- local backend: a BatchRunner fan-out under the shared budget ----
-
-  [[nodiscard]] std::vector<TileOutcome> runLocal(
-      const TileGrid& grid, const std::vector<std::uint64_t>& budgets,
-      const engine::RunBudget& budget, const engine::RunHooks& hooks) const {
+  [[nodiscard]] std::vector<img::ImageF> tileCrops(const TileGrid& grid) const {
     std::vector<img::ImageF> crops;
     crops.reserve(grid.tiles.size());
     for (const TileSpec& tile : grid.tiles) {
       crops.push_back(problem_.filtered->crop(tile.halo.x0, tile.halo.y0,
                                               tile.halo.w, tile.halo.h));
     }
+    return crops;
+  }
 
+  // ---- local backend: a BatchRunner fan-out under the shared budget ----
+
+  [[nodiscard]] BackendResult runLocal(
+      const TileGrid& grid, const std::vector<std::uint64_t>& budgets,
+      const engine::RunBudget& budget, const engine::RunHooks& hooks) const {
+    const std::vector<img::ImageF> crops = tileCrops(grid);
     std::vector<engine::BatchJob> jobs;
     jobs.reserve(grid.tiles.size());
-    std::uint64_t totalIters = 0;
     for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
-      engine::BatchJob job;
-      job.strategy = innerStrategy_;
-      job.options = innerOptions_;
-      job.problem = tileProblem(crops[i], grid.tiles[i]);
-      job.budget = engine::RunBudget{budgets[i], budget.traceInterval};
-      job.label = tileLabel(grid.tiles[i]);
-      jobs.push_back(std::move(job));
-      totalIters += budgets[i];
+      jobs.push_back({.strategy = innerStrategy_,
+                      .options = innerOptions_,
+                      .problem = tileProblem(crops[i], grid.tiles[i]),
+                      .budget = {budgets[i], budget.traceInterval},
+                      .label = tileLabel(grid.tiles[i]),
+                      .seed = std::nullopt});  // deriveJobSeed, as remote
     }
 
     engine::BatchOptions options;
@@ -380,72 +341,60 @@ class ShardStrategy final : public engine::Strategy {
     options.resources.poolBudget = nullptr;
     options.sharedBudget = resources_.poolBudget;
 
-    // Per-tile progress folded into one monotone whole-shard beat.
-    std::mutex progressMutex;
-    std::vector<std::uint64_t> done(jobs.size(), 0);
     engine::BatchHooks batchHooks;
     batchHooks.cancelRequested = hooks.cancelRequested;
-    if (hooks.onProgress) {
-      batchHooks.onJobProgress = [&](std::size_t index,
-                                     const engine::RunProgress& p) {
-        // Deliver while still holding the lock: emitting after release
-        // would let concurrently computed sums arrive out of order, making
-        // the whole-shard beat go backwards.
-        const std::scoped_lock lock(progressMutex);
-        done[index] = std::min(p.done, budgets[index]);
-        std::uint64_t sum = 0;
-        for (const std::uint64_t d : done) sum += d;
-        hooks.progress(sum, totalIters, "shard");
-      };
-    }
-
-    const engine::BatchResult result =
+    // Serialised by the runner, so the whole-shard beat stays monotone.
+    batchHooks.onJobDone =
+        [progress = progressBeat(hooks, budgets)](
+            std::size_t i, const engine::RunReport&) mutable { progress(i); };
+    const engine::BatchResult batch =
         engine::BatchRunner(registry_).run(jobs, options, batchHooks);
 
-    std::vector<TileOutcome> outcomes(grid.tiles.size());
+    BackendResult result;
+    result.report.tiles.resize(grid.tiles.size());
+    result.circles.resize(grid.tiles.size());
     for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
-      TileOutcome& outcome = outcomes[i];
-      const engine::RunReport& report = result.reports[i];
-      outcome.iterations = report.iterations;
-      outcome.wallSeconds = report.wallSeconds;
-      outcome.acceptanceRate = report.acceptanceRate;
-      outcome.logPosterior = report.logPosterior;
-      outcome.cancelled = report.cancelled;
-      outcome.error = result.batch.errors[i];
-      outcome.circles = report.circles;
-      outcome.diagnostics = report.diagnostics;
-      outcome.itersToConverge = report.iterationsToConverge;
+      const engine::RunReport& report = batch.reports[i];
+      TileRun& tile = result.report.tiles[i];
+      tile.iterations = report.iterations;
+      tile.wallSeconds = report.wallSeconds;
+      tile.acceptanceRate = report.acceptanceRate;
+      tile.logPosterior = report.logPosterior;
+      tile.cancelled = report.cancelled;
+      tile.error = batch.batch.errors[i];
+      tile.diagnostics = report.diagnostics;
+      result.circles[i] = report.circles;
+      if (report.iterationsToConverge) {
+        result.iterationsToConverge =
+            std::max(result.iterationsToConverge.value_or(0),
+                     *report.iterationsToConverge);
+      }
     }
-    return outcomes;
+    return result;
   }
 
-  // ---- socket backend: serve::Client fan-out over an endpoint fleet ----
+  // ---- socket backend: a thin driver of the shard::Fanout machine ----
 
   /// The job line for tile `i`: an @image=inline reference to the one-shot
-  /// upload that precedes it, plus the coordinator's exact prior (%.17g
-  /// round-trips every double bit-for-bit), so the remote tile runs the
-  /// identical problem the local backend would build in tileProblem().
+  /// upload that precedes it, plus the coordinator's exact prior (numExact),
+  /// so the remote tile runs the identical problem tileProblem() builds.
   [[nodiscard]] std::string tileJobLine(const TileGrid& grid, std::size_t i,
                                         std::uint64_t iters,
                                         const engine::RunBudget& budget)
       const {
+    using serve::protocol::numExact;
     const TileSpec& tile = grid.tiles[i];
     std::string line =
         tileLabel(tile) + " " + innerStrategy_ +
         " @image=inline @iters=" + std::to_string(iters) + " @seed=" +
         std::to_string(engine::deriveJobSeed(resources_.seed, i)) +
         " @label=" + tileLabel(tile) +
-        " @radius=" + fmtExact(problem_.prior.radiusMean) +
-        " @radius-std=" + fmtExact(problem_.prior.radiusStd) +
-        " @radius-min=" + fmtExact(problem_.prior.radiusMin) +
-        " @radius-max=" + fmtExact(problem_.prior.radiusMax);
+        " @radius=" + numExact(problem_.prior.radiusMean) +
+        " @radius-std=" + numExact(problem_.prior.radiusStd) +
+        " @radius-min=" + numExact(problem_.prior.radiusMin) +
+        " @radius-max=" + numExact(problem_.prior.radiusMax);
     if (!problem_.estimateCount) {
-      // Mirror tileProblem's area-share scaling of a caller-fixed count.
-      const double share =
-          static_cast<double>(tile.core.area()) /
-          static_cast<double>(problem_.filtered->pixelCount());
-      line += " @count=" +
-              fmtExact(std::max(problem_.prior.expectedCount * share, 0.5));
+      line += " @count=" + numExact(tileExpectedCount(tile));
     }
     if (budget.traceInterval != 0) {
       line += " @trace=" + std::to_string(budget.traceInterval);
@@ -454,15 +403,14 @@ class ShardStrategy final : public engine::Strategy {
     return line;
   }
 
-  [[nodiscard]] std::vector<TileOutcome> runSocket(
+  /// Carry out the machine's actions over serve::Client connections and
+  /// feed the replies back as events. Every requeue, hedge, dead-endpoint,
+  /// doom and cancel decision lives in shard::Fanout; this driver only
+  /// does the I/O, the metrics and the trace spans.
+  [[nodiscard]] BackendResult runSocket(
       const TileGrid& grid, const std::vector<std::uint64_t>& budgets,
-      const std::vector<double>& predicted, const engine::RunBudget& budget,
-      const engine::RunHooks& hooks) {
-    requeues_ = 0;
-    endpointsDead_ = 0;
-    hedgesIssued_ = 0;
-    hedgesWon_ = 0;
-
+      const DensityMap& density, const engine::RunBudget& budget,
+      const engine::RunHooks& hooks) const {
     obs::Span fanoutSpan("shard", "fanout");
     fanoutSpan.arg("tiles", std::to_string(grid.tiles.size()));
     fanoutSpan.arg("endpoints", std::to_string(endpoints_.size()));
@@ -470,457 +418,190 @@ class ShardStrategy final : public engine::Strategy {
     // Tile crops travel as float32 binary frames inside the protocol — no
     // temp files, no shared filesystem, no 8-bit quantisation: the remote
     // tile sees the coordinator's pixels bit-for-bit.
-    std::vector<img::ImageF> crops;
-    crops.reserve(grid.tiles.size());
-    for (const TileSpec& tile : grid.tiles) {
-      crops.push_back(problem_.filtered->crop(tile.halo.x0, tile.halo.y0,
-                                              tile.halo.w, tile.halo.h));
-    }
-
+    const std::vector<img::ImageF> crops = tileCrops(grid);
     EndpointPool pool(endpoints_, pingTimeout_, pingInterval_);
     if (pool.checkAll() == 0) {
-      throw engine::EngineError(
-          "strategy '" + name_ + "': no endpoint answered PING (fleet: " +
-          formatEndpointList(endpoints_) + ")");
+      reject("no endpoint answered PING (fleet: " +
+             formatEndpointList(endpoints_) + ")");
     }
+    std::vector<double> predicted;
+    for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
+      predicted.push_back(core::predictCostSeconds(
+          budgets[i], regionMeanActivity(density, grid.tiles[i].core)));
+    }
+    Fanout fanout(pool, budgets, predicted, hedgeFactor_, timeoutSeconds_);
+    const Clock::time_point origin = Clock::now();  // the machine's t = 0
+    BackendResult result;
+    result.circles.resize(grid.tiles.size());
+    const auto progress = progressBeat(hooks, budgets);
+    obs::Histogram& network = shardSeconds(
+        "mcmcpar_shard_network_seconds",
+        "Coordinator-side transfer time (tile upload+submit, report "
+        "fetch); _sum is the run's network share.");
 
-    // One replica of a tile on one endpoint. A tile has a primary flight
-    // and, when the hedging policy fires, at most one hedge flight running
-    // the bit-identical job line; whichever reaches a terminal state first
-    // resolves the tile. Flights are polled with STATUS (no blocking WAIT),
-    // so the coordinator connection stays available for CANCEL.
+    // One connection per flight (slot 2i is tile i's primary, 2i+1 its
+    // hedge) keeps reply streams apart. Flights are polled with STATUS,
+    // never a blocking WAIT, so each connection stays free for CANCEL.
     struct Flight {
       serve::Client client;
-      std::size_t endpoint = 0;  ///< pool index currently running the tile
       std::uint64_t jobId = 0;
-      bool active = false;
-      std::chrono::steady_clock::time_point started{};
+      Clock::time_point started{};
     };
-    struct TileState {
-      Flight primary;
-      Flight hedge;
-      std::vector<char> tried;  ///< pool indices already tried for the
-                                ///< current placement round
-      bool hedged = false;      ///< a hedge replica was ever issued
-      bool resolved = false;
-    };
-    const std::size_t n = grid.tiles.size();
-    std::vector<TileOutcome> outcomes(n);
-    std::vector<TileState> tiles(n);
-    for (TileState& tile : tiles) tile.tried.assign(pool.size(), 0);
-
-    const auto elapsedSeconds = [](const Flight& flight) {
-      return std::chrono::duration<double>(
-                 std::chrono::steady_clock::now() - flight.started)
-          .count();
-    };
-
-    // Per-iteration cost observed on resolved, successful tiles; its
-    // median scaled by a tile's budget is the hedging reference once real
-    // measurements exist (shard/hedge.hpp prefers it over the prediction).
-    std::vector<double> observedPerIter;
-    const auto observedMedianSeconds = [&](std::size_t i) -> double {
-      if (observedPerIter.empty() || budgets[i] == 0) return 0.0;
-      std::vector<double> sorted = observedPerIter;
-      std::sort(sorted.begin(), sorted.end());
-      return sorted[sorted.size() / 2] * static_cast<double>(budgets[i]);
+    std::vector<Flight> flights(2 * grid.tiles.size());
+    // Tile flights are observed from a poll loop, not a call stack, so each
+    // tile gets its own synthetic timeline row (from 100 up); fan-out and
+    // stitch spans stay on the coordinator's real thread row.
+    const auto traceFlight = [&](const FanoutAction& a, const Flight& flight,
+                                 obs::TraceArgs args) {
+      obs::Tracer& tracer = obs::Tracer::global();
+      if (!tracer.enabled()) return;
+      const bool hedge = a.replica == Replica::Hedge;
+      args.insert(args.begin(),
+                  {{"endpoint", pool.endpoint(a.endpoint).label()},
+                   {"hedged", hedge ? "true" : "false"}});
+      tracer.record("shard",
+                    (hedge ? "tile-hedge:" : "tile:") +
+                        tileLabel(grid.tiles[a.tile]),
+                    flight.started, Clock::now(), std::move(args),
+                    100 + static_cast<std::int64_t>(a.tile));
     };
 
-    std::size_t tilesDone = 0;
-    bool doomed = false;
-    const auto markResolved = [&](std::size_t i) {
-      tiles[i].resolved = true;
-      ++tilesDone;
-      hooks.progress(tilesDone, n, "shard");
-      if (!doomed && !outcomes[i].error.empty()) doomed = true;
-    };
-
-    // Place tile i on the least-loaded surviving endpoint it has not tried
-    // this round: upload the crop one-shot, submit @image=inline on the
-    // same connection. Transport failures mark the endpoint dead; ERR
-    // QUEUE_FULL / SHUTTING_DOWN skip it without marking. Returns false
-    // (outcome.error set) on a deterministic rejection or when no endpoint
-    // remains.
-    const auto submitTile = [&](std::size_t i) -> bool {
-      TileOutcome& outcome = outcomes[i];
-      Flight& flight = tiles[i].primary;
-      flight.active = false;
-      while (true) {
-        pool.refresh();
-        const std::optional<std::size_t> picked =
-            pool.pick(tiles[i].tried);
-        if (!picked) {
-          outcome.error =
-              "no usable endpoint left (fleet: " +
-              formatEndpointList(endpoints_) + ", " +
-              std::to_string(pool.deadCount()) + " marked dead)";
-          return false;
-        }
-        flight.endpoint = *picked;
-        tiles[i].tried[*picked] = 1;
-        const Endpoint& endpoint = pool.endpoint(*picked);
-        ++outcome.attempts;
-        const auto submitStart = std::chrono::steady_clock::now();
-        try {
-          flight.client.connect(endpoint.host, endpoint.port,
-                                timeoutSeconds_);
-          (void)flight.client.upload(tileLabel(grid.tiles[i]), crops[i],
-                                     /*oneshot=*/true);
-          flight.jobId = flight.client.submit(
-              tileJobLine(grid, i, budgets[i], budget));
-          flight.active = true;
-          flight.started = std::chrono::steady_clock::now();
-          outcome.endpoint = endpoint.label();
-          shardSeconds("mcmcpar_shard_network_seconds",
-                       "Coordinator-side transfer time (tile upload+submit, "
-                       "report fetch); _sum is the run's network share.")
-              .observe(std::chrono::duration<double>(flight.started -
-                                                     submitStart)
-                           .count());
-          return true;
-        } catch (const std::exception& e) {
-          flight.client.close();
-          pool.release(*picked);
-          const remote::FailureKind kind = remote::classifyFailure(e.what());
-          if (kind == remote::FailureKind::Fatal) {
-            outcome.error = e.what();
-            return false;
-          }
-          if (kind == remote::FailureKind::EndpointDown) {
-            pool.markDead(*picked);
-            shardCounter("mcmcpar_shard_endpoints_marked_dead_total",
-                         "Endpoints removed from a fan-out after a "
-                         "transport failure.")
-                .add();
-          }
-          ++requeues_;
-          shardCounter("mcmcpar_shard_requeues_total",
-                       "Tile re-submissions after an endpoint failure.")
-              .add();
-        }
-      }
-    };
-
-    // Issue a hedge replica of tile i on an idle endpoint. Strictly
-    // best-effort and non-destructive: the identical job line goes out (so
-    // the result is bit-identical to the primary's), and any failure just
-    // leaves the primary standing — a hedge must never doom a healthy run.
-    const auto submitHedge = [&](std::size_t i) -> bool {
-      TileState& tile = tiles[i];
-      std::vector<char> exclude(pool.size(), 0);
-      for (std::size_t e = 0; e < pool.size(); ++e) {
-        if (e == tile.primary.endpoint || pool.load(e) > 0) exclude[e] = 1;
-      }
-      const std::optional<std::size_t> picked = pool.pick(exclude);
-      if (!picked) return false;
-      Flight& flight = tile.hedge;
-      flight.endpoint = *picked;
-      const Endpoint& endpoint = pool.endpoint(*picked);
-      ++outcomes[i].attempts;
+    // One submit sequence for primaries and hedges alike: upload the crop
+    // one-shot, then submit @image=inline on the same connection.
+    const auto submit = [&](const FanoutAction& a, Flight& flight) {
+      const Clock::time_point start = Clock::now();
       try {
-        flight.client.connect(endpoint.host, endpoint.port,
-                              timeoutSeconds_);
-        (void)flight.client.upload(tileLabel(grid.tiles[i]), crops[i],
-                                   /*oneshot=*/true);
+        const Endpoint& endpoint = pool.endpoint(a.endpoint);
+        flight.client.connect(endpoint.host, endpoint.port, timeoutSeconds_);
+        (void)flight.client.upload(tileLabel(grid.tiles[a.tile]),
+                                   crops[a.tile], /*oneshot=*/true);
         flight.jobId = flight.client.submit(
-            tileJobLine(grid, i, budgets[i], budget));
-        flight.active = true;
-        flight.started = std::chrono::steady_clock::now();
-        return true;
-      } catch (const std::exception&) {
+            tileJobLine(grid, a.tile, budgets[a.tile], budget));
+      } catch (const std::exception& e) {
         flight.client.close();
-        pool.release(*picked);
-        return false;
+        fanout.submitFailed(a.tile, a.replica,
+                            remote::classifyFailure(e.what()), e.what());
+        return;
       }
+      network.observe(secondsSince(start));
+      flight.started = Clock::now();
+      fanout.submitted(a.tile, a.replica, secondsSince(origin));
     };
 
-    // Drop a still-active replica whose sibling already resolved the tile:
-    // cancel the remote job on the same (idle-between-polls) connection so
-    // the fleet stops burning its budget, then return the endpoint's load.
-    const auto abandonFlight = [&](Flight& flight) {
-      if (!flight.active) return;
+    // One STATUS round-trip; a terminal state fetches the REPORT.
+    const auto poll = [&](const FanoutAction& a, Flight& flight) {
+      remote::TileReportJson remote;
       try {
-        (void)flight.client.request("CANCEL " +
-                                    std::to_string(flight.jobId));
-      } catch (const std::exception&) {
-        // Best effort; the server reaps the connection either way.
-      }
-      flight.client.close();
-      pool.release(flight.endpoint);
-      flight.active = false;
-    };
-
-    // One STATUS round-trip for an active flight. Terminal states fetch
-    // the report and fill the outcome; a flight outstanding longer than
-    // the run timeout is treated as a transport failure so a wedged server
-    // cannot stall the poll loop forever.
-    enum class Poll { Running, Finished, Failed };
-    const auto pollFlight = [&](std::size_t i, Flight& flight,
-                                std::string& failure) -> Poll {
-      try {
-        if (elapsedSeconds(flight) > timeoutSeconds_) {
-          throw serve::ProtocolError(
-              "tile exceeded the " + std::to_string(timeoutSeconds_) +
-              " s timeout");
-        }
-        const std::string reply = flight.client.request(
-            "STATUS " + std::to_string(flight.jobId));
+        const std::string reply =
+            flight.client.request("STATUS " + std::to_string(flight.jobId));
         std::istringstream words(reply);
         std::string ok, idText, state;
         words >> ok >> idText >> state;
         if (ok != "OK") throw serve::ProtocolError(reply);
         if (state != "done" && state != "failed" && state != "cancelled") {
-          return Poll::Running;
+          return;
         }
-        const auto reportStart = std::chrono::steady_clock::now();
-        const remote::TileReportJson remote =
-            remote::parseReportJson(flight.client.report(flight.jobId));
-        shardSeconds("mcmcpar_shard_network_seconds",
-                     "Coordinator-side transfer time (tile upload+submit, "
-                     "report fetch); _sum is the run's network share.")
-            .observe(std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - reportStart)
-                         .count());
-        TileOutcome& outcome = outcomes[i];
-        outcome.iterations = remote.iterations;
-        outcome.wallSeconds = remote.wallSeconds;
-        outcome.acceptanceRate = remote.acceptance;
-        outcome.logPosterior = remote.logPosterior;
-        outcome.cancelled = remote.cancelled || remote.state == "cancelled";
-        outcome.error = remote.state == "failed"
-                            ? (remote.error.empty() ? "remote job failed"
-                                                    : remote.error)
-                            : "";
-        outcome.circles = remote.circles;
-        return Poll::Finished;
+        const Clock::time_point reportStart = Clock::now();
+        remote = remote::parseReportJson(flight.client.report(flight.jobId));
+        network.observe(secondsSince(reportStart));
       } catch (const std::exception& e) {
-        failure = e.what();
-        return Poll::Failed;
+        flight.client.close();
+        fanout.pollFailed(a.tile, a.replica,
+                          remote::classifyFailure(e.what()), e.what());
+        return;
       }
-    };
-
-    // Tile i finished on `viaHedge ? hedge : primary`: adopt that replica's
-    // result, abandon the other one, and record the observed per-iteration
-    // cost for future hedging references.
-    const auto resolveTile = [&](std::size_t i, bool viaHedge) {
-      TileState& tile = tiles[i];
-      TileOutcome& outcome = outcomes[i];
-      Flight& winner = viaHedge ? tile.hedge : tile.primary;
-      Flight& loser = viaHedge ? tile.primary : tile.hedge;
-      outcome.endpoint = pool.endpoint(winner.endpoint).label();
-      outcome.hedged = viaHedge;
-      if (viaHedge) {
-        ++hedgesWon_;
-        shardCounter("mcmcpar_shard_hedges_won_total",
-                     "Hedge replicas that beat their primary.")
-            .add();
-      }
-      const auto resolvedAt = std::chrono::steady_clock::now();
-      const double rtt =
-          std::chrono::duration<double>(resolvedAt - winner.started).count();
+      flight.client.close();
       obs::Registry::global()
           .histogram("mcmcpar_shard_tile_rtt_seconds",
                      "Tile submit-to-report round trip per endpoint.",
-                     obs::latencyBuckets(), {{"endpoint", outcome.endpoint}})
-          .observe(rtt);
+                     obs::latencyBuckets(),
+                     {{"endpoint", pool.endpoint(a.endpoint).label()}})
+          .observe(secondsSince(flight.started));
       shardSeconds("mcmcpar_shard_sample_seconds",
                    "Remote sampler wall time per resolved tile; _sum is "
                    "the run's sampling share.")
-          .observe(outcome.wallSeconds);
+          .observe(remote.wallSeconds);
       shardCounter("mcmcpar_shard_tiles_resolved_total",
                    "Tiles that reached a terminal result.")
           .add();
-      obs::Tracer& tracer = obs::Tracer::global();
-      if (tracer.enabled()) {
-        const std::int64_t track =
-            kTileTrackBase + static_cast<std::int64_t>(i);
-        const std::string label = tileLabel(grid.tiles[i]);
-        tracer.record("shard",
-                      (viaHedge ? "tile-hedge:" : "tile:") + label,
-                      winner.started, resolvedAt,
-                      {{"endpoint", outcome.endpoint},
-                       {"hedged", viaHedge ? "true" : "false"},
-                       {"job", std::to_string(winner.jobId)}},
-                      track);
-        if (loser.active) {
-          tracer.record("shard",
-                        (viaHedge ? "tile:" : "tile-hedge:") + label,
-                        loser.started, resolvedAt,
-                        {{"endpoint", pool.endpoint(loser.endpoint).label()},
-                         {"hedged", viaHedge ? "false" : "true"},
-                         {"outcome", "abandoned"}},
-                        track);
-        }
+      traceFlight(a, flight, {{"job", std::to_string(flight.jobId)}});
+      TileRun tile;
+      tile.iterations = remote.iterations;
+      tile.wallSeconds = remote.wallSeconds;
+      tile.acceptanceRate = remote.acceptance;
+      tile.logPosterior = remote.logPosterior;
+      tile.cancelled = remote.cancelled || remote.state == "cancelled";
+      if (remote.state == "failed") {
+        tile.error = remote.error.empty() ? "remote job failed" : remote.error;
       }
-      if (outcome.error.empty() && !outcome.cancelled && budgets[i] > 0) {
-        observedPerIter.push_back(elapsedSeconds(winner) /
-                                  static_cast<double>(budgets[i]));
-      }
-      winner.client.close();
-      pool.release(winner.endpoint);
-      winner.active = false;
-      abandonFlight(loser);
-      markResolved(i);
+      result.circles[a.tile] = std::move(remote.circles);
+      fanout.finished(a.tile, a.replica, std::move(tile),
+                      secondsSince(origin));
     };
 
-    // A flight failed (transport error, ERR reply or timeout). If its
-    // sibling replica is still running, the tile stays covered and the
-    // failure costs nothing; otherwise requeue the tile on a fresh
-    // placement round — unless the failure is deterministic or the run is
-    // already doomed/cancelled, which resolves the tile with the error.
-    const auto failFlight = [&](std::size_t i, bool isHedge,
-                                const std::string& failure) {
-      TileState& tile = tiles[i];
-      TileOutcome& outcome = outcomes[i];
-      Flight& flight = isHedge ? tile.hedge : tile.primary;
-      const std::size_t endpointIndex = flight.endpoint;
-      flight.client.close();
-      pool.release(endpointIndex);
-      flight.active = false;
-      const remote::FailureKind kind = remote::classifyFailure(failure);
-      if (kind == remote::FailureKind::EndpointDown) {
-        pool.markDead(endpointIndex);
-        shardCounter("mcmcpar_shard_endpoints_marked_dead_total",
-                     "Endpoints removed from a fan-out after a transport "
-                     "failure.")
-            .add();
-      }
-      const Flight& other = isHedge ? tile.primary : tile.hedge;
-      if (other.active) return;
-      if (kind == remote::FailureKind::Fatal || doomed ||
-          hooks.cancelled()) {
-        outcome.error = failure;
-        markResolved(i);
-        return;
-      }
-      // The job may still be running on a live-but-unreachable host;
-      // best-effort cancel so the fleet doesn't burn an abandoned budget.
-      // Safe to retry regardless: the Stitcher is deterministic, so the
-      // requeued tile reproduces the same result.
+    // Best effort: the server reaps the connection either way, and the
+    // poll timeout still bounds a wind-down. A flight that already failed
+    // has lost its connection, so its CANCEL goes out on a fresh one.
+    const auto cancel = [&](const FanoutAction& a, Flight& flight) {
+      if (a.abandoned) traceFlight(a, flight, {{"outcome", "abandoned"}});
       try {
-        serve::Client canceller;
-        const Endpoint& endpoint = pool.endpoint(endpointIndex);
-        canceller.connect(endpoint.host, endpoint.port, 5.0);
-        (void)canceller.request("CANCEL " + std::to_string(flight.jobId));
+        if (!flight.client.connected()) {
+          const Endpoint& endpoint = pool.endpoint(a.endpoint);
+          flight.client.connect(endpoint.host, endpoint.port, 5.0);
+        }
+        (void)flight.client.request("CANCEL " +
+                                    std::to_string(flight.jobId));
       } catch (const std::exception&) {
       }
-      // Fresh placement round: only the endpoint that just failed is
-      // excluded up front (a still-alive host that merely refused an
-      // earlier round deserves another chance).
-      tile.tried.assign(pool.size(), 0);
-      tile.tried[endpointIndex] = 1;
-      ++requeues_;
-      shardCounter("mcmcpar_shard_requeues_total",
-                   "Tile re-submissions after an endpoint failure.")
-          .add();
-      if (!submitTile(i)) markResolved(i);  // outcome.error already set
+      if (a.abandoned) flight.client.close();
     };
 
-    // Fan out: submit every tile before polling any, so the fleet runs
-    // them concurrently; one connection per flight keeps reply streams
-    // apart. A deterministic rejection dooms the run, so stop submitting
-    // on first fatal error rather than hand the fleet work about to be
-    // cancelled.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (doomed) {
-        outcomes[i].error = "not submitted: an earlier tile already failed";
-        markResolved(i);
-        continue;
+    // Submit every tile, then one poll pass per 20 ms tick. Stale
+    // endpoints are re-probed (a no-op until ping-interval elapses)
+    // between passes, ahead of any placement a pass makes.
+    for (int pass = 0;; ++pass) {
+      while (const std::optional<FanoutAction> a = fanout.next()) {
+        Flight& flight =
+            flights[2 * a->tile + static_cast<std::size_t>(a->replica)];
+        switch (a->kind) {
+          case FanoutAction::Kind::Submit: submit(*a, flight); break;
+          case FanoutAction::Kind::Poll: poll(*a, flight); break;
+          case FanoutAction::Kind::Cancel: cancel(*a, flight); break;
+          case FanoutAction::Kind::Finished: progress(a->tile); break;
+        }
       }
-      if (!submitTile(i)) markResolved(i);  // sets doomed via the error
+      if (fanout.done()) break;
+      if (pass > 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      pool.refresh();
+      if (hooks.cancelled()) fanout.cancelRequested();
+      fanout.tick(secondsSince(origin));
     }
 
-    // Poll loop: one STATUS pass over every outstanding flight per tick.
-    // Any tile failure dooms the whole run (a missing region cannot be
-    // stitched), so the moment one is recorded — or the caller cancels —
-    // every outstanding flight gets a CANCEL broadcast; polling continues
-    // until the remotes acknowledge with a terminal state, which bounds
-    // the wind-down at one remote cancel quantum instead of the tiles'
-    // full budgets.
-    bool cancelBroadcast = false;
-    while (tilesDone < n) {
-      if ((doomed || hooks.cancelled()) && !cancelBroadcast) {
-        cancelBroadcast = true;
-        for (TileState& tile : tiles) {
-          if (tile.resolved) continue;
-          for (Flight* flight : {&tile.primary, &tile.hedge}) {
-            if (!flight->active) continue;
-            try {
-              (void)flight->client.request(
-                  "CANCEL " + std::to_string(flight->jobId));
-            } catch (const std::exception&) {
-              // Best effort; the poll timeout still bounds the wait.
-            }
-          }
-        }
-      }
-      for (std::size_t i = 0; i < n && tilesDone < n; ++i) {
-        TileState& tile = tiles[i];
-        if (tile.resolved) continue;
-        if (!tile.primary.active && !tile.hedge.active) {
-          // Defensive: requeue paths resolve on failure, so a tile without
-          // flights should not exist — never spin on it if one does.
-          if (outcomes[i].error.empty()) {
-            outcomes[i].error = "tile lost both flights";
-          }
-          markResolved(i);
-          continue;
-        }
-        if (tile.primary.active) {
-          std::string failure;
-          const Poll r = pollFlight(i, tile.primary, failure);
-          if (r == Poll::Finished) {
-            resolveTile(i, /*viaHedge=*/false);
-          } else if (r == Poll::Failed) {
-            failFlight(i, /*isHedge=*/false, failure);
-          }
-        }
-        if (tile.resolved) continue;
-        if (tile.hedge.active) {
-          std::string failure;
-          const Poll r = pollFlight(i, tile.hedge, failure);
-          if (r == Poll::Finished) {
-            resolveTile(i, /*viaHedge=*/true);
-          } else if (r == Poll::Failed) {
-            failFlight(i, /*isHedge=*/true, failure);
-          }
-        }
-        if (tile.resolved) continue;
-        // Straggler hedging: when the slowest-looking tile has been
-        // outstanding longer than hedge-factor x the reference time and an
-        // endpoint sits idle, re-issue it there and take the first result.
-        if (!tile.hedged && tile.primary.active && !doomed &&
-            !hooks.cancelled()) {
-          HedgeInputs inputs;
-          inputs.elapsedSeconds = elapsedSeconds(tile.primary);
-          inputs.predictedSeconds = predicted[i];
-          inputs.observedSeconds = observedMedianSeconds(i);
-          inputs.hedgeFactor = hedgeFactor_;
-          inputs.idleEndpointAvailable =
-              pool.hasIdle(tile.primary.endpoint);
-          inputs.alreadyHedged = tile.hedged;
-          if (shouldHedge(inputs) && submitHedge(i)) {
-            tile.hedged = true;
-            ++hedgesIssued_;
-            shardCounter("mcmcpar_shard_hedges_issued_total",
-                         "Hedge replicas issued for straggling tiles.")
-                .add();
-          }
-        }
-      }
-      if (tilesDone < n) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
+    result.report = fanout.report();
+    result.report.endpointsDead = pool.deadCount();
+    for (const auto& [name, help, count] :
+         {std::tuple{"mcmcpar_shard_requeues_total",
+                     "Tile re-submissions after an endpoint failure.",
+                     result.report.requeues},
+          {"mcmcpar_shard_endpoints_marked_dead_total",
+           "Endpoints removed from a fan-out after a transport failure.",
+           fanout.deadMarks()},
+          {"mcmcpar_shard_hedges_issued_total",
+           "Hedge replicas issued for straggling tiles.",
+           result.report.hedgesIssued},
+          {"mcmcpar_shard_hedges_won_total",
+           "Hedge replicas that beat their primary.",
+           result.report.hedgesWon}}) {
+      if (count > 0) shardCounter(name, help).add(count);
     }
-    endpointsDead_ = pool.deadCount();
-    return outcomes;
+    return result;
   }
 
   // ---- stitch + aggregate ----
 
-  [[nodiscard]] engine::RunReport mergeOutcomes(
-      const TileGrid& grid, const std::vector<TileOutcome>& outcomes,
-      const par::WallTimer& timer) const {
+  [[nodiscard]] engine::RunReport merge(const TileGrid& grid,
+                                        BackendResult result,
+                                        const par::WallTimer& timer) const {
     const par::WallTimer mergeTimer;
     obs::Span stitchSpan("shard", "stitch");
     stitchSpan.arg("tiles", std::to_string(grid.tiles.size()));
@@ -929,15 +610,15 @@ class ShardStrategy final : public engine::Strategy {
     std::vector<std::vector<model::Circle>> perTile(grid.tiles.size());
     for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
       const partition::IRect& halo = grid.tiles[i].halo;
-      perTile[i].reserve(outcomes[i].circles.size());
-      for (const model::Circle& c : outcomes[i].circles) {
+      perTile[i].reserve(result.circles[i].size());
+      for (const model::Circle& c : result.circles[i]) {
         perTile[i].push_back(
             model::Circle{c.x + halo.x0, c.y + halo.y0, c.r});
       }
     }
     const StitchResult stitched = stitchCircles(grid, perTile, stitch_);
 
-    ShardReport shardReport;
+    ShardReport& shardReport = result.report;
     shardReport.gridX = grid.gridX;
     shardReport.gridY = grid.gridY;
     shardReport.halo = grid.halo;
@@ -946,61 +627,43 @@ class ShardStrategy final : public engine::Strategy {
     shardReport.innerStrategy = innerStrategy_;
     shardReport.haloDropped = stitched.haloDropped;
     shardReport.duplicatesRemoved = stitched.duplicatesRemoved;
-    shardReport.requeues = requeues_;
-    shardReport.endpointsDead = endpointsDead_;
-    shardReport.hedgesIssued = hedgesIssued_;
-    shardReport.hedgesWon = hedgesWon_;
 
     engine::RunReport report;
     report.strategy = name_;
-    bool cancelled = false;
+    report.iterationsToConverge = result.iterationsToConverge;
     double weightedAcceptance = 0.0;
     for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
-      const TileOutcome& outcome = outcomes[i];
-      TileRun tile;
+      TileRun& tile = shardReport.tiles[i];
       tile.spec = grid.tiles[i];
       tile.label = tileLabel(grid.tiles[i]);
-      tile.iterations = outcome.iterations;
-      tile.wallSeconds = outcome.wallSeconds;
-      tile.acceptanceRate = outcome.acceptanceRate;
-      tile.logPosterior = outcome.logPosterior;
       tile.circlesFound = perTile[i].size();
       tile.circlesKept = stitched.keptPerTile[i];
-      tile.cancelled = outcome.cancelled;
-      tile.error = outcome.error;
-      tile.diagnostics = outcome.diagnostics;
-      tile.endpoint = outcome.endpoint;
-      tile.attempts = std::max(outcome.attempts, 1u);
-      tile.hedged = outcome.hedged;
-      shardReport.tiles.push_back(std::move(tile));
 
-      report.iterations += outcome.iterations;
-      weightedAcceptance += outcome.acceptanceRate *
-                            static_cast<double>(outcome.iterations);
+      report.iterations += tile.iterations;
+      weightedAcceptance +=
+          tile.acceptanceRate * static_cast<double>(tile.iterations);
       // The inner report's own flag is authoritative: pipeline strategies
       // report iteration counts unrelated to the budget, so inferring
       // cancellation from a shortfall would mis-flag completed runs.
-      cancelled = cancelled || outcome.cancelled;
-      report.diagnostics.merge(outcome.diagnostics);
-      // Like the §IX pipelines: the shard converges when its slowest tile
-      // does (local backend only; remote reports carry no trace).
-      if (outcome.itersToConverge) {
-        report.iterationsToConverge =
-            std::max(report.iterationsToConverge.value_or(0),
-                     *outcome.itersToConverge);
-      }
+      report.cancelled = report.cancelled || tile.cancelled;
+      report.diagnostics.merge(tile.diagnostics);
       shardReport.maxTileSeconds =
-          std::max(shardReport.maxTileSeconds, outcome.wallSeconds);
-      shardReport.sumTileSeconds += outcome.wallSeconds;
+          std::max(shardReport.maxTileSeconds, tile.wallSeconds);
+      shardReport.sumTileSeconds += tile.wallSeconds;
     }
 
-    report.cancelled = cancelled;
     report.acceptanceRate =
         report.iterations == 0
             ? 0.0
             : weightedAcceptance / static_cast<double>(report.iterations);
+    // Whole-image log posterior of the stitched model, comparable with an
+    // unsharded run of the same problem (tile-local values are not).
+    model::ModelState merged(*problem_.filtered, prior_, problem_.likelihood);
+    for (const model::Circle& circle : stitched.circles) {
+      merged.commitAdd(circle);
+    }
+    report.logPosterior = merged.logPosterior();
     report.circles = stitched.circles;
-    report.logPosterior = mergedLogPosterior(stitched.circles);
     report.threadsUsed =
         socketBackend_ ? static_cast<unsigned>(endpoints_.size())
                        : par::resolveThreadCount(resources_.threads);
@@ -1013,15 +676,6 @@ class ShardStrategy final : public engine::Strategy {
     report.wallSeconds = timer.seconds();
     report.extras = std::move(shardReport);
     return report;
-  }
-
-  /// Whole-image log posterior of the stitched model, comparable with an
-  /// unsharded run of the same problem (tile-local values are not).
-  [[nodiscard]] double mergedLogPosterior(
-      const std::vector<model::Circle>& merged) const {
-    model::ModelState state(*problem_.filtered, prior_, problem_.likelihood);
-    for (const model::Circle& circle : merged) state.commitAdd(circle);
-    return state.logPosterior();
   }
 
   std::string name_;
@@ -1042,10 +696,6 @@ class ShardStrategy final : public engine::Strategy {
   std::vector<Endpoint> endpoints_;
   double pingTimeout_ = 5.0;
   double pingInterval_ = 30.0;
-  std::size_t requeues_ = 0;       ///< last runSocket's re-submissions
-  std::size_t endpointsDead_ = 0;  ///< dead endpoints at end of last run
-  std::size_t hedgesIssued_ = 0;   ///< hedge replicas issued last run
-  std::size_t hedgesWon_ = 0;      ///< hedge replicas that beat primaries
   std::string innerStrategy_;
   std::vector<std::string> innerOptions_;
   engine::Problem problem_;

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/matching.hpp"
 
@@ -30,6 +31,18 @@ TileSpec makeTile(const partition::IRect& core, int halo, int width,
   return tile;
 }
 
+/// Reject a negative halo, then cap it before the edge arithmetic: anything
+/// past the image just clips away, and an untrusted @halo near INT_MAX must
+/// not overflow `core.x0 + core.w + halo` (the same bug class as over-range
+/// @shard counts, which parseTileCount rejects).
+int clampHalo(int halo, int width, int height, const std::string& caller) {
+  if (halo < 0) {
+    throw std::invalid_argument(caller + ": halo must be >= 0, got " +
+                                std::to_string(halo));
+  }
+  return std::min(halo, std::max(width, height));
+}
+
 }  // namespace
 
 TileGrid makeTileGrid(int width, int height, int gx, int gy, int halo) {
@@ -42,10 +55,6 @@ TileGrid makeTileGrid(int width, int height, int gx, int gy, int halo) {
     throw std::invalid_argument("makeTileGrid: tile counts must be >= 1, got " +
                                 std::to_string(gx) + "x" + std::to_string(gy));
   }
-  if (halo < 0) {
-    throw std::invalid_argument("makeTileGrid: halo must be >= 0, got " +
-                                std::to_string(halo));
-  }
   // More tiles than pixels along an axis would produce empty cores.
   if (gx > width || gy > height) {
     throw std::invalid_argument(
@@ -57,11 +66,7 @@ TileGrid makeTileGrid(int width, int height, int gx, int gy, int halo) {
   TileGrid grid;
   grid.gridX = gx;
   grid.gridY = gy;
-  // Anything past the image just clips away, so cap the halo before the
-  // edge arithmetic: an untrusted @halo near INT_MAX must not overflow
-  // `core.x0 + core.w + halo` (the same bug class as over-range @shard
-  // counts, which parseTileCount rejects).
-  halo = std::min(halo, std::max(width, height));
+  halo = clampHalo(halo, width, height, "makeTileGrid");
   grid.halo = halo;
   const std::vector<partition::IRect> cores =
       partition::tileImage(width, height, gx, gy);
@@ -177,13 +182,12 @@ double blockOverlap(const DensityMap& density, const partition::IRect& region,
 }
 
 /// Shared accumulation of regionWorkload / regionMeanActivity: the
-/// activity-weighted integral and the covered area.
-void accumulateRegion(const DensityMap& density,
-                      const partition::IRect& region, double& area,
-                      double& weightedActivity) {
-  area = 0.0;
-  weightedActivity = 0.0;
-  if (region.w <= 0 || region.h <= 0) return;
+/// covered area and the activity-weighted integral.
+std::pair<double, double> accumulateRegion(const DensityMap& density,
+                                           const partition::IRect& region) {
+  double area = 0.0;
+  double weightedActivity = 0.0;
+  if (region.w <= 0 || region.h <= 0) return {area, weightedActivity};
   const int bx0 = std::max(0, region.x0 / density.blockSize);
   const int by0 = std::max(0, region.y0 / density.blockSize);
   const int bx1 = std::min(density.blocksX - 1,
@@ -197,23 +201,37 @@ void accumulateRegion(const DensityMap& density,
       weightedActivity += overlap * density.at(bx, by);
     }
   }
+  return {area, weightedActivity};
+}
+
+/// The two halves of `region` cut at x = `cut` (vertical) or y = `cut`.
+std::pair<partition::IRect, partition::IRect> splitAt(
+    const partition::IRect& region, int cut, bool vertical) {
+  partition::IRect left = region;
+  partition::IRect right = region;
+  if (vertical) {
+    left.w = cut - region.x0;
+    right.x0 = cut;
+    right.w = region.x0 + region.w - cut;
+  } else {
+    left.h = cut - region.y0;
+    right.y0 = cut;
+    right.h = region.y0 + region.h - cut;
+  }
+  return {left, right};
 }
 
 }  // namespace
 
 double regionWorkload(const DensityMap& density,
                       const partition::IRect& region, double densityWeight) {
-  double area = 0.0;
-  double weightedActivity = 0.0;
-  accumulateRegion(density, region, area, weightedActivity);
+  const auto [area, weightedActivity] = accumulateRegion(density, region);
   return area + densityWeight * weightedActivity;
 }
 
 double regionMeanActivity(const DensityMap& density,
                           const partition::IRect& region) {
-  double area = 0.0;
-  double weightedActivity = 0.0;
-  accumulateRegion(density, region, area, weightedActivity);
+  const auto [area, weightedActivity] = accumulateRegion(density, region);
   return area > 0.0 ? weightedActivity / area : 0.0;
 }
 
@@ -234,12 +252,8 @@ TileGrid makeAdaptiveTileGrid(const DensityMap& density, int maxTiles,
         "makeAdaptiveTileGrid: min tile size must be >= 1, got " +
         std::to_string(minTileSize));
   }
-  if (halo < 0) {
-    throw std::invalid_argument("makeAdaptiveTileGrid: halo must be >= 0, "
-                                "got " +
-                                std::to_string(halo));
-  }
-  halo = std::min(halo, std::max(density.width, density.height));
+  halo = clampHalo(halo, density.width, density.height,
+                   "makeAdaptiveTileGrid");
 
   // Candidate cuts along one axis: block boundaries inside the admissible
   // band (both sides >= minTileSize), plus the band edges so a region
@@ -262,17 +276,7 @@ TileGrid makeAdaptiveTileGrid(const DensityMap& density, int maxTiles,
     int best = 0;
     double bestImbalance = 0.0;
     for (const int cut : cuts) {
-      partition::IRect left = region;
-      partition::IRect right = region;
-      if (vertical) {
-        left.w = cut - region.x0;
-        right.x0 = cut;
-        right.w = region.x0 + region.w - cut;
-      } else {
-        left.h = cut - region.y0;
-        right.y0 = cut;
-        right.h = region.y0 + region.h - cut;
-      }
+      const auto [left, right] = splitAt(region, cut, vertical);
       const double imbalance =
           std::abs(regionWorkload(density, left, densityWeight) -
                    regionWorkload(density, right, densityWeight));
@@ -314,17 +318,7 @@ TileGrid makeAdaptiveTileGrid(const DensityMap& density, int maxTiles,
     }
     if (cut == 0) break;  // defensive: the heaviest check said splittable
 
-    partition::IRect left = region;
-    partition::IRect right = region;
-    if (vertical) {
-      left.w = cut - region.x0;
-      right.x0 = cut;
-      right.w = region.x0 + region.w - cut;
-    } else {
-      left.h = cut - region.y0;
-      right.y0 = cut;
-      right.h = region.y0 + region.h - cut;
-    }
+    const auto [left, right] = splitAt(region, cut, vertical);
     regions[heaviest] = left;
     regions.push_back(right);
   }

@@ -1,9 +1,9 @@
 // Predictor-driven scheduling (§IX): the deficit-round-robin admission
-// scheduler, the straggler-hedging policy, the density-adaptive tile
-// decomposition and the committed cost calibration — all driven with
-// scripted costs and fake clocks so the schedules assert EXACTLY, plus
-// live socket regressions for hedging (bit-identity, latency) and
-// weighted-fair starvation.
+// scheduler, the straggler-hedging policy, the shard fan-out state machine,
+// the density-adaptive tile decomposition and the committed cost
+// calibration — all driven with scripted costs and fake clocks so the
+// schedules assert EXACTLY, plus live socket regressions for hedging
+// (bit-identity, latency) and weighted-fair starvation.
 
 #include <gtest/gtest.h>
 
@@ -28,9 +28,23 @@
 #include "serve/job_queue.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
-#include "shard/hedge.hpp"
+#include "shard/endpoints.hpp"
+#include "shard/fanout.hpp"
 #include "shard/report.hpp"
 #include "shard/tiling.hpp"
+
+namespace mcmcpar::shard {
+
+// Readable failure diffs for the fan-out action sequences below.
+void PrintTo(const FanoutAction& a, std::ostream* os) {
+  static const char* const kKinds[] = {"Submit", "Poll", "Cancel",
+                                       "Finished"};
+  *os << kKinds[static_cast<int>(a.kind)] << "(tile " << a.tile << ", "
+      << (a.replica == Replica::Hedge ? "hedge" : "primary") << ", endpoint "
+      << a.endpoint << (a.abandoned ? ", abandoned" : "") << ")";
+}
+
+}  // namespace mcmcpar::shard
 
 namespace mcmcpar {
 namespace {
@@ -235,6 +249,357 @@ TEST(HedgePolicy, GuardsDisableHedging) {
   EXPECT_FALSE(shard::shouldHedge(blind));
 
   EXPECT_TRUE(shard::shouldHedge(in));  // all guards pass -> fires
+}
+
+// ---------------------------------------------------------------------------
+// Fan-out state machine: every hedge, requeue and dead-endpoint interleaving
+// driven with scripted events and fake time — no sockets, threads or sleeps
+// ---------------------------------------------------------------------------
+
+using shard::FanoutAction;
+using shard::Replica;
+using Kind = FanoutAction::Kind;
+using shard::remote::FailureKind;
+constexpr Replica kPrimary = Replica::Primary;
+constexpr Replica kHedge = Replica::Hedge;
+
+FanoutAction submitAt(std::size_t tile, std::size_t endpoint,
+                      Replica replica = kPrimary) {
+  return {Kind::Submit, tile, replica, endpoint};
+}
+FanoutAction pollAt(std::size_t tile, std::size_t endpoint,
+                    Replica replica = kPrimary) {
+  return {Kind::Poll, tile, replica, endpoint};
+}
+FanoutAction cancelAt(std::size_t tile, std::size_t endpoint,
+                      Replica replica = kPrimary, bool abandoned = false) {
+  return {Kind::Cancel, tile, replica, endpoint, abandoned};
+}
+FanoutAction finishedTile(std::size_t tile) {
+  return {Kind::Finished, tile};
+}
+
+/// Every action due before the next tick (no replies fed in between).
+std::vector<FanoutAction> drain(shard::Fanout& fanout) {
+  std::vector<FanoutAction> actions;
+  while (auto action = fanout.next()) actions.push_back(*action);
+  return actions;
+}
+
+/// A fleet of `n` never-probed endpoints (all alive, all idle).
+shard::EndpointPool fleet(std::size_t n) {
+  std::vector<shard::Endpoint> endpoints;
+  for (std::size_t i = 0; i < n; ++i) {
+    endpoints.push_back({"127.0.0.1", static_cast<std::uint16_t>(9001 + i)});
+  }
+  return shard::EndpointPool(endpoints);
+}
+
+shard::TileRun doneRun(std::uint64_t iterations) {
+  shard::TileRun run;
+  run.iterations = iterations;
+  return run;
+}
+
+/// Place `tiles` unit-predicted 1000-iteration tiles (submitted at t=0) on
+/// `pool`, asserting least-loaded placement in tile order.
+shard::Fanout placed(shard::EndpointPool& pool, std::size_t tiles,
+                     double hedgeFactor = 0.0, double timeout = 600.0) {
+  shard::Fanout fanout(pool, std::vector<std::uint64_t>(tiles, 1000),
+                       std::vector<double>(tiles, 1.0), hedgeFactor, timeout);
+  for (std::size_t i = 0; i < tiles; ++i) {
+    const auto action = fanout.next();
+    EXPECT_TRUE(action.has_value());
+    if (!action) break;
+    EXPECT_EQ(*action, submitAt(i, i % pool.size()));
+    fanout.submitted(i, kPrimary, 0.0);
+  }
+  return fanout;
+}
+
+TEST(FanoutMachine, PlacesEveryTileLeastLoadedBeforePollingAny) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = placed(pool, 3);
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{});
+  EXPECT_EQ(pool.load(0), 2u);
+  EXPECT_EQ(pool.load(1), 1u);
+  fanout.tick(0.02);
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               pollAt(0, 0), pollAt(1, 1), pollAt(2, 0)}));
+  fanout.finished(1, kPrimary, doneRun(1000), 0.5);
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{finishedTile(1)});
+  EXPECT_EQ(pool.load(1), 0u);
+  EXPECT_FALSE(fanout.done());
+}
+
+TEST(FanoutMachine, HedgeFiresStrictlyAboveFactorTimesReference) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = placed(pool, 1, /*hedgeFactor=*/2.0);
+  fanout.tick(2.0);  // == 2.0 x the 1 s prediction: the boundary holds
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{pollAt(0, 0)});
+  fanout.tick(2.001);
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               pollAt(0, 0), submitAt(0, 1, kHedge)}));
+  fanout.submitted(0, kHedge, 2.001);
+  fanout.tick(2.02);  // at most one hedge per tile
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               pollAt(0, 0), pollAt(0, 1, kHedge)}));
+  EXPECT_EQ(fanout.report().hedgesIssued, 1u);
+}
+
+TEST(FanoutMachine, HedgeNeverFiresWithoutAnIdleEndpoint) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = placed(pool, 2, /*hedgeFactor=*/2.0);
+  fanout.tick(100.0);  // both stragglers, but every endpoint is busy
+  EXPECT_EQ(drain(fanout),
+            (std::vector<FanoutAction>{pollAt(0, 0), pollAt(1, 1)}));
+  // Tile 1 finishing frees endpoint 1; the observed median (0.5 s) is now
+  // the reference, so tile 0 hedges there on the next pass.
+  fanout.finished(1, kPrimary, doneRun(1000), 0.5);
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{finishedTile(1)});
+  fanout.tick(100.02);
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               pollAt(0, 0), submitAt(0, 1, kHedge)}));
+}
+
+/// One tile on endpoint 0 with a live hedge on endpoint 1.
+shard::Fanout hedgedTile(shard::EndpointPool& pool) {
+  shard::Fanout fanout = placed(pool, 1, /*hedgeFactor=*/2.0);
+  fanout.tick(3.0);
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               pollAt(0, 0), submitAt(0, 1, kHedge)}));
+  fanout.submitted(0, kHedge, 3.0);
+  fanout.tick(4.0);
+  return fanout;
+}
+
+TEST(FanoutMachine, HedgeWinsAndThePrimaryGetsExactlyOneCancel) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = hedgedTile(pool);
+  EXPECT_EQ(fanout.next(), pollAt(0, 0));  // still running: no event
+  EXPECT_EQ(fanout.next(), pollAt(0, 1, kHedge));
+  fanout.finished(0, kHedge, doneRun(1000), 4.0);
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               cancelAt(0, 0, kPrimary, /*abandoned=*/true),
+                               finishedTile(0)}));
+  EXPECT_TRUE(fanout.done());
+  const shard::TileRun& tile = fanout.report().tiles[0];
+  EXPECT_TRUE(tile.hedged);
+  EXPECT_EQ(tile.endpoint, "127.0.0.1:9002");
+  EXPECT_EQ(tile.attempts, 2u);
+  EXPECT_EQ(fanout.report().hedgesWon, 1u);
+  EXPECT_EQ(pool.load(0) + pool.load(1), 0u);
+}
+
+TEST(FanoutMachine, PrimaryWinsAndTheHedgeIsAbandoned) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = hedgedTile(pool);
+  EXPECT_EQ(fanout.next(), pollAt(0, 0));
+  fanout.finished(0, kPrimary, doneRun(1000), 4.0);
+  // The queued poll of the hedge is dropped, not sent.
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               cancelAt(0, 1, kHedge, /*abandoned=*/true),
+                               finishedTile(0)}));
+  EXPECT_FALSE(fanout.report().tiles[0].hedged);
+  EXPECT_EQ(fanout.report().tiles[0].endpoint, "127.0.0.1:9001");
+  EXPECT_EQ(fanout.report().hedgesWon, 0u);
+}
+
+TEST(FanoutMachine, PrimaryFailingUnderARunningHedgeIsNotRequeued) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = hedgedTile(pool);
+  EXPECT_EQ(fanout.next(), pollAt(0, 0));
+  fanout.pollFailed(0, kPrimary, FailureKind::EndpointDown, "EOF");
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{pollAt(0, 1, kHedge)});
+  EXPECT_FALSE(pool.alive(0));
+  EXPECT_EQ(fanout.report().requeues, 0u);
+  fanout.tick(5.0);
+  EXPECT_EQ(fanout.next(), pollAt(0, 1, kHedge));
+  fanout.finished(0, kHedge, doneRun(1000), 5.0);
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{finishedTile(0)});
+  EXPECT_TRUE(fanout.report().tiles[0].error.empty());
+}
+
+TEST(FanoutMachine, BothReplicasFailingRequeuesExcludingOnlyTheLastFailure) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = hedgedTile(pool);
+  EXPECT_EQ(fanout.next(), pollAt(0, 0));
+  fanout.pollFailed(0, kPrimary, FailureKind::EndpointBusy,
+                    "ERR SHUTTING_DOWN");
+  EXPECT_EQ(fanout.next(), pollAt(0, 1, kHedge));
+  fanout.pollFailed(0, kHedge, FailureKind::EndpointBusy,
+                    "ERR SHUTTING_DOWN");
+  // Fresh round: endpoint 0, tried in the first round, gets another chance.
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               cancelAt(0, 1, kHedge), submitAt(0, 0)}));
+  EXPECT_EQ(fanout.report().requeues, 1u);
+  EXPECT_TRUE(pool.alive(0));
+  EXPECT_TRUE(pool.alive(1));
+}
+
+TEST(FanoutMachine, BusyEndpointIsSkippedWithoutBeingMarkedDead) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout(pool, {1000}, {1.0}, 0.0, 600.0);
+  EXPECT_EQ(fanout.next(), submitAt(0, 0));
+  fanout.submitFailed(0, kPrimary, FailureKind::EndpointBusy,
+                      "SUBMIT rejected: ERR QUEUE_FULL queue is full");
+  EXPECT_EQ(fanout.next(), submitAt(0, 1));
+  EXPECT_TRUE(pool.alive(0));
+  EXPECT_EQ(pool.load(0), 0u);
+  EXPECT_EQ(fanout.report().requeues, 1u);
+  EXPECT_EQ(fanout.deadMarks(), 0u);
+}
+
+TEST(FanoutMachine, DownEndpointIsMarkedDeadAndItsTileRequeued) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = placed(pool, 2);
+  fanout.tick(1.0);
+  EXPECT_EQ(fanout.next(), pollAt(0, 0));
+  fanout.pollFailed(0, kPrimary, FailureKind::EndpointDown,
+                    "connection reset");
+  // The requeue is placed before the pass moves on to tile 1.
+  EXPECT_EQ(fanout.next(), cancelAt(0, 0));
+  EXPECT_EQ(fanout.next(), submitAt(0, 1));
+  fanout.submitted(0, kPrimary, 1.0);
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{pollAt(1, 1)});
+  EXPECT_FALSE(pool.alive(0));
+  EXPECT_EQ(fanout.deadMarks(), 1u);
+  EXPECT_EQ(fanout.report().requeues, 1u);
+  fanout.finished(0, kPrimary, doneRun(1000), 2.0);
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{finishedTile(0)});
+  EXPECT_EQ(fanout.report().tiles[0].attempts, 2u);
+  EXPECT_EQ(fanout.report().tiles[0].endpoint, "127.0.0.1:9002");
+}
+
+TEST(FanoutMachine, FatalRejectionDoomsTheRunAndCancelsEachReplicaOnce) {
+  shard::EndpointPool pool = fleet(3);
+  shard::Fanout fanout = placed(pool, 2, /*hedgeFactor=*/2.0);
+  fanout.tick(3.0);  // tile 0 straggles onto the idle endpoint 2; tile 1
+                     // then finds no idle endpoint left
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               pollAt(0, 0), submitAt(0, 2, kHedge),
+                               pollAt(1, 1)}));
+  fanout.submitted(0, kHedge, 3.0);
+  fanout.tick(4.0);
+  EXPECT_EQ(fanout.next(), pollAt(0, 0));
+  EXPECT_EQ(fanout.next(), pollAt(0, 2, kHedge));
+  EXPECT_EQ(fanout.next(), pollAt(1, 1));
+  fanout.pollFailed(1, kPrimary, FailureKind::Fatal, "ERR UNKNOWN_JOB 2");
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{finishedTile(1)});
+  EXPECT_EQ(fanout.report().tiles[1].error, "ERR UNKNOWN_JOB 2");
+
+  fanout.tick(5.0);
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               cancelAt(0, 0), cancelAt(0, 2, kHedge),
+                               pollAt(0, 0), pollAt(0, 2, kHedge)}));
+  fanout.tick(5.02);  // the broadcast is one-time
+  EXPECT_EQ(fanout.next(), pollAt(0, 0));
+  shard::TileRun cancelled;
+  cancelled.cancelled = true;
+  fanout.finished(0, kPrimary, cancelled, 5.02);
+  // The hedge already got its CANCEL from the broadcast: it is dropped
+  // without a second one.
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{finishedTile(0)});
+  EXPECT_TRUE(fanout.done());
+  EXPECT_EQ(fanout.report().requeues, 0u);
+  EXPECT_EQ(pool.load(0) + pool.load(1) + pool.load(2), 0u);
+}
+
+TEST(FanoutMachine, DoomStopsFurtherSubmissions) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout(pool, {1000, 1000}, {1.0, 1.0}, 0.0, 600.0);
+  EXPECT_EQ(fanout.next(), submitAt(0, 0));
+  fanout.submitFailed(0, kPrimary, FailureKind::Fatal, "ERR BAD_JOB x");
+  EXPECT_EQ(drain(fanout),
+            (std::vector<FanoutAction>{finishedTile(0), finishedTile(1)}));
+  EXPECT_EQ(fanout.report().tiles[1].error,
+            "not submitted: an earlier tile already failed");
+  EXPECT_EQ(fanout.report().tiles[1].attempts, 1u);
+  EXPECT_TRUE(fanout.done());
+}
+
+TEST(FanoutMachine, CancelMidRunBroadcastsAndStopsHedgesAndRequeues) {
+  shard::EndpointPool pool = fleet(3);
+  shard::Fanout fanout = placed(pool, 2, /*hedgeFactor=*/2.0);
+  fanout.cancelRequested();
+  fanout.tick(100.0);  // a straggler with an idle endpoint, yet no hedge
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               cancelAt(0, 0), cancelAt(1, 1), pollAt(0, 0),
+                               pollAt(1, 1)}));
+  fanout.tick(100.02);
+  EXPECT_EQ(fanout.next(), pollAt(0, 0));
+  shard::TileRun cancelled;
+  cancelled.cancelled = true;
+  fanout.finished(0, kPrimary, cancelled, 100.02);
+  EXPECT_EQ(fanout.next(), finishedTile(0));
+  EXPECT_EQ(fanout.next(), pollAt(1, 1));
+  fanout.pollFailed(1, kPrimary, FailureKind::EndpointDown, "EOF");
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{finishedTile(1)});
+  EXPECT_TRUE(fanout.report().tiles[0].cancelled);
+  EXPECT_EQ(fanout.report().tiles[1].error, "EOF");
+  EXPECT_EQ(fanout.report().hedgesIssued, 0u);
+  EXPECT_EQ(fanout.report().requeues, 0u);
+}
+
+TEST(FanoutMachine, TimeoutCountsAsATransportFailure) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = placed(pool, 1, 0.0, /*timeout=*/10.0);
+  fanout.tick(10.0);  // not yet strictly over
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{pollAt(0, 0)});
+  fanout.tick(10.5);
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{cancelAt(0, 0),
+                                                      submitAt(0, 1)}));
+  EXPECT_FALSE(pool.alive(0));
+  EXPECT_EQ(fanout.deadMarks(), 1u);
+  EXPECT_EQ(fanout.report().requeues, 1u);
+}
+
+TEST(FanoutMachine, NoUsableEndpointLeftFailsTheTileWithTheFleetInTheError) {
+  shard::EndpointPool pool(
+      {{"127.0.0.1", 9001, 2}, {"127.0.0.1", 9002, 1}});
+  shard::Fanout fanout(pool, {1000}, {1.0}, 0.0, 600.0);
+  EXPECT_EQ(fanout.next(), submitAt(0, 0));
+  fanout.submitFailed(0, kPrimary, FailureKind::EndpointDown,
+                      "cannot connect to 127.0.0.1:9001");
+  EXPECT_EQ(fanout.next(), submitAt(0, 1));
+  fanout.submitFailed(0, kPrimary, FailureKind::EndpointBusy,
+                      "SUBMIT rejected: ERR QUEUE_FULL");
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{finishedTile(0)});
+  EXPECT_EQ(fanout.report().tiles[0].error,
+            "no usable endpoint left (fleet: 127.0.0.1:9001*2,"
+            "127.0.0.1:9002, 1 marked dead)");
+  EXPECT_EQ(fanout.report().tiles[0].attempts, 2u);
+  EXPECT_TRUE(fanout.done());
+}
+
+TEST(FanoutMachine, FailedRemoteJobFailsTheTileInsteadOfRequeueing) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = placed(pool, 2);
+  fanout.tick(1.0);
+  EXPECT_EQ(fanout.next(), pollAt(0, 0));
+  shard::TileRun failed;
+  failed.error = "remote job failed";
+  fanout.finished(0, kPrimary, failed, 1.0);
+  EXPECT_EQ(drain(fanout),
+            (std::vector<FanoutAction>{finishedTile(0), pollAt(1, 1)}));
+  fanout.tick(1.02);  // doomed: tile 1 is wound down
+  EXPECT_EQ(drain(fanout),
+            (std::vector<FanoutAction>{cancelAt(1, 1), pollAt(1, 1)}));
+  EXPECT_EQ(fanout.report().requeues, 0u);
+}
+
+TEST(FanoutMachine, HedgeSubmitFailureLeavesThePrimaryStanding) {
+  shard::EndpointPool pool = fleet(2);
+  shard::Fanout fanout = placed(pool, 1, /*hedgeFactor=*/2.0);
+  fanout.tick(3.0);
+  EXPECT_EQ(drain(fanout), (std::vector<FanoutAction>{
+                               pollAt(0, 0), submitAt(0, 1, kHedge)}));
+  fanout.submitFailed(0, kHedge, FailureKind::Fatal, "ERR BAD_JOB x");
+  EXPECT_EQ(drain(fanout), std::vector<FanoutAction>{});
+  EXPECT_FALSE(fanout.done());
+  EXPECT_EQ(pool.load(1), 0u);
+  EXPECT_TRUE(pool.alive(1));
+  EXPECT_EQ(fanout.report().hedgesIssued, 0u);
 }
 
 // ---------------------------------------------------------------------------

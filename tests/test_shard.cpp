@@ -588,6 +588,64 @@ TEST(ShardedStrategy, SocketBackendMatchesLocalBackendBitExactly) {
   EXPECT_DOUBLE_EQ(local.logPosterior, remote.logPosterior);
   EXPECT_EQ(local.iterations, remote.iterations);
 
+  // A caller-fixed count: the forwarded @count= carries each tile's
+  // area-share scaling at %.17g, so the remote tiles still match exactly.
+  engine::Problem fixedCount = shardProblem(scene);
+  fixedCount.estimateCount = false;
+  fixedCount.prior.expectedCount = 6.0;
+  const engine::RunReport localFixed = engine.run(
+      "sharded", fixedCount, engine::RunBudget{4000, 0}, {}, common);
+  const engine::RunReport remoteFixed = engine.run(
+      "sharded", fixedCount, engine::RunBudget{4000, 0}, {}, viaSocket);
+  ASSERT_EQ(localFixed.circles.size(), remoteFixed.circles.size());
+  for (std::size_t i = 0; i < localFixed.circles.size(); ++i) {
+    EXPECT_EQ(localFixed.circles[i], remoteFixed.circles[i]) << i;
+  }
+  EXPECT_DOUBLE_EQ(localFixed.logPosterior, remoteFixed.logPosterior);
+
+  socket.stop();
+  server.shutdown(5.0);
+}
+
+TEST(ShardedStrategy, BothBackendsBeatProgressInIterations) {
+  // One unit for every driver (mcmc::RunProgress counts logical
+  // iterations): each resolved tile adds its budget, so a local and a
+  // socket run of one problem beat monotonically up to the same
+  // (sum of budgets, sum of budgets).
+  serve::ServerOptions serverOptions;
+  serverOptions.threads = 2;
+  serve::Server server(serverOptions);
+  serve::SocketFrontend socket(server, 0);
+
+  const img::Scene scene = shardScene();
+  const engine::Engine engine(engine::ExecResources{2, false, 7});
+  const std::vector<std::string> common = {"tiles=2x2", "halo=12",
+                                           "min-tile-iters=500"};
+  std::vector<std::string> viaSocket = common;
+  viaSocket.push_back("backend=socket");
+  viaSocket.push_back("endpoints=127.0.0.1:" +
+                      std::to_string(socket.port()));
+
+  for (const std::vector<std::string>& options : {common, viaSocket}) {
+    std::vector<engine::RunProgress> beats;
+    engine::RunHooks hooks;
+    hooks.onProgress = [&](const engine::RunProgress& p) {
+      beats.push_back(p);
+    };
+    const engine::RunReport report =
+        engine.run("sharded", shardProblem(scene),
+                   engine::RunBudget{4000, 0}, hooks, options);
+    ASSERT_EQ(beats.size(), 4u);  // one per resolved tile
+    for (std::size_t i = 0; i < beats.size(); ++i) {
+      EXPECT_STREQ(beats[i].phase, "shard");
+      EXPECT_EQ(beats[i].total, report.iterations);  // serial: = budgets
+      if (i > 0) {
+        EXPECT_GT(beats[i].done, beats[i - 1].done);
+      }
+    }
+    EXPECT_EQ(beats.back().done, beats.back().total);
+  }
+
   socket.stop();
   server.shutdown(5.0);
 }
