@@ -280,6 +280,35 @@ void BM_SequentialIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_SequentialIteration);
 
+// Gate pair for the sampler step: BM_SamplerStep512 is Sampler::step() on a
+// 512x512 state; the reference twin drives the same moves on the same state
+// and seed without the Diagnostics::record call, so both time a prefix of
+// the same chain and the ratio isolates the per-step bookkeeping.
+// tools/check_bench_micro.py caps the allowed slowdown so per-iteration
+// string building cannot creep back into the step.
+
+void BM_SamplerStep512Ref(benchmark::State& state) {
+  model::ModelState s = microState(512, 60, 25);
+  const mcmc::MoveRegistry registry = mcmc::MoveRegistry::caseStudy();
+  rng::Stream stream(26);
+  const mcmc::SelectionContext ctx{};
+  for (auto _ : state) {
+    const mcmc::Move& move = registry.sampleAny(stream);
+    benchmark::DoNotOptimize(mcmc::attemptMove(s, move, ctx, stream));
+  }
+}
+BENCHMARK(BM_SamplerStep512Ref);
+
+void BM_SamplerStep512(benchmark::State& state) {
+  model::ModelState s = microState(512, 60, 25);
+  const mcmc::MoveRegistry registry = mcmc::MoveRegistry::caseStudy();
+  mcmc::Sampler sampler(s, registry, 26);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.step());
+  }
+}
+BENCHMARK(BM_SamplerStep512);
+
 void BM_SubStateBuildMerge(benchmark::State& state) {
   model::ModelState s = microState(512, 60, 21);
   const int half = 256;

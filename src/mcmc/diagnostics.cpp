@@ -4,8 +4,10 @@
 
 namespace mcmcpar::mcmc {
 
-void Diagnostics::record(const std::string& moveName, bool accepted) {
-  MoveStats& s = stats_[moveName];
+void Diagnostics::record(std::string_view moveName, bool accepted) {
+  auto it = stats_.find(moveName);
+  if (it == stats_.end()) it = stats_.emplace(moveName, MoveStats{}).first;
+  MoveStats& s = it->second;
   ++s.proposed;
   if (accepted) ++s.accepted;
 }

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mcmcpar::mcmc {
@@ -20,8 +22,10 @@ struct TracePoint {
 /// pgr and plr); the trace feeds the convergence detector.
 class Diagnostics {
  public:
-  /// Record a proposal outcome for the named move.
-  void record(const std::string& moveName, bool accepted);
+  /// Record a proposal outcome for the named move. Called once per
+  /// iteration with Move::name(): the transparent comparator finds an
+  /// existing entry without building a std::string.
+  void record(std::string_view moveName, bool accepted);
 
   /// Append a trace point.
   void tracePoint(std::uint64_t iteration, double logPosterior,
@@ -41,7 +45,9 @@ class Diagnostics {
     }
   };
 
-  [[nodiscard]] const std::map<std::string, MoveStats>& perMove() const noexcept {
+  using MoveStatsMap = std::map<std::string, MoveStats, std::less<>>;
+
+  [[nodiscard]] const MoveStatsMap& perMove() const noexcept {
     return stats_;
   }
   [[nodiscard]] const std::vector<TracePoint>& trace() const noexcept {
@@ -64,7 +70,7 @@ class Diagnostics {
   void clear();
 
  private:
-  std::map<std::string, MoveStats> stats_;
+  MoveStatsMap stats_;
   std::vector<TracePoint> trace_;
 };
 

@@ -44,6 +44,14 @@ constexpr int kFrameReadMillis = 30000;
 /// Uploads retained per connection; the oldest is dropped past the cap.
 constexpr std::size_t kMaxUploadsPerConnection = 64;
 
+/// Disable Nagle's algorithm: a reply that went out as two small writes
+/// with no read between them would otherwise hold the second until the
+/// first is ACKed, which the peer delays by up to ~40 ms.
+void setNoDelay(int fd) {
+  const int one = 1;
+  (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 void setRecvTimeout(int fd, long millis) {
   timeval tv{};
   tv.tv_sec = millis / 1000;
@@ -65,6 +73,21 @@ bool sendAll(int fd, const std::string& text) {
 bool sendLine(int fd, const std::string& line) {
   return sendAll(fd, line + "\n");
 }
+
+/// Reply lines as they go on the wire: protocol::okLine/errLine plus the
+/// newline. The handlers return these bytes, so handleConnection can write
+/// each reply with one send.
+namespace response {
+
+std::string okLine(const std::string& payload) {
+  return protocol::okLine(payload) + "\n";
+}
+
+std::string errLine(const std::string& code, const std::string& message) {
+  return protocol::errLine(code, message) + "\n";
+}
+
+}  // namespace response
 
 /// Read exactly `want` bytes of a frame body into `out` (or discard them
 /// when `out` is null), draining `buffer` (bytes received past the header
@@ -206,6 +229,7 @@ void SocketFrontend::acceptLoop() {
       continue;  // EAGAIN (poll tick) or transient error
     }
     setRecvTimeout(fd, kPollMillis);
+    setNoDelay(fd);
     const std::scoped_lock lock(connectionsMutex_);
     // Reap handlers that already finished (their join is instantaneous).
     for (auto it = connections_.begin(); it != connections_.end();) {
@@ -259,7 +283,7 @@ void SocketFrontend::handleConnection(int fd) {
                 (line.size() == 6 || line[6] == ' ' || line[6] == '\t')
             ? handleUpload(line, fd, buffer, state, keepOpen)
             : dispatch(line, fd, state, keepOpen);
-    const bool sent = reply.empty() || sendLine(fd, reply);
+    const bool sent = reply.empty() || sendAll(fd, reply);
     // Every command is counted and timed — including REPORT and WAIT,
     // which the pre-registry stats never saw. WAIT's latency spans its
     // whole event stream by design.
@@ -304,7 +328,7 @@ std::string SocketFrontend::handleUpload(const std::string& line, int fd,
     // The body length is unknowable from a malformed header, so the stream
     // cannot be resynchronised: reply and drop the connection.
     keepOpen = false;
-    return protocol::errLine(
+    return response::errLine(
         protocol::kErrBadFrame,
         "expected 'UPLOAD <id> <w> <h> <nbytes> [oneshot]', got '" + line +
             "'");
@@ -318,7 +342,7 @@ std::string SocketFrontend::handleUpload(const std::string& line, int fd,
         !readBody(fd, buffer, nullptr, nbytes, stopping_)) {
       keepOpen = false;
     }
-    return protocol::errLine(code, message);
+    return response::errLine(code, message);
   };
 
   if (width == 0 || height == 0 || nbytes == 0) {
@@ -350,7 +374,7 @@ std::string SocketFrontend::handleUpload(const std::string& line, int fd,
   std::string body(static_cast<std::size_t>(nbytes), '\0');
   if (!readBody(fd, buffer, body.data(), body.size(), stopping_)) {
     keepOpen = false;  // truncated mid-frame: the stream is desynchronised
-    return protocol::errLine(protocol::kErrBadFrame,
+    return response::errLine(protocol::kErrBadFrame,
                              "truncated frame: connection delivered fewer "
                              "than the declared " +
                                  nText + " payload bytes");
@@ -382,7 +406,7 @@ std::string SocketFrontend::handleUpload(const std::string& line, int fd,
     }
   }
   state.uploads[id] = std::move(interned);
-  return protocol::okLine(id + " " + ImageCache::hashHex(hash));
+  return response::okLine(id + " " + ImageCache::hashHex(hash));
 }
 
 std::string SocketFrontend::dispatch(const std::string& line, int fd,
@@ -391,7 +415,7 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
   std::string command;
   tokens >> command;
 
-  if (command == "PING") return protocol::okLine("pong");
+  if (command == "PING") return response::okLine("pong");
 
   if (command == "SUBMIT") {
     std::string payload;
@@ -406,7 +430,7 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
         const std::optional<std::uint64_t> count =
             stream::parseFrameCount(entry.sequence);
         if (!count) {
-          return protocol::errLine(
+          return response::errLine(
               protocol::kErrBadJob,
               "@sequence with @image=inline requires a decimal frame "
               "count, got '" +
@@ -417,7 +441,7 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
               entry.image + "." + std::to_string(k);
           const auto it = state.uploads.find(frameId);
           if (it == state.uploads.end()) {
-            return protocol::errLine(
+            return response::errLine(
                 protocol::kErrBadJob,
                 "@sequence: no upload named '" + frameId +
                     "' on this connection (send UPLOAD frames first)");
@@ -427,7 +451,7 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
       } else if (entry.inlineImage) {
         const auto it = state.uploads.find(entry.image);
         if (it == state.uploads.end()) {
-          return protocol::errLine(
+          return response::errLine(
               protocol::kErrBadJob,
               "@image=inline: no upload named '" + entry.image +
                   "' on this connection (send an UPLOAD frame first)");
@@ -436,19 +460,19 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
       }
       const std::uint64_t id = server_.submit(entry, std::move(inlineImage),
                                               std::move(inlineFrames));
-      return protocol::okLine(std::to_string(id));
+      return response::okLine(std::to_string(id));
     } catch (const QueueFullError& e) {
-      return protocol::errLine(protocol::kErrQueueFull, e.what());
+      return response::errLine(protocol::kErrQueueFull, e.what());
     } catch (const engine::EngineError& e) {
-      return protocol::errLine(server_.draining() ? protocol::kErrShuttingDown
+      return response::errLine(server_.draining() ? protocol::kErrShuttingDown
                                                   : protocol::kErrBadJob,
                                e.what());
     } catch (const img::PnmError& e) {
-      return protocol::errLine(protocol::kErrBadJob, e.what());
+      return response::errLine(protocol::kErrBadJob, e.what());
     } catch (const std::exception& e) {
       // Any other parser/admission exception must reject the request, not
       // escape the connection thread and terminate the whole server.
-      return protocol::errLine(protocol::kErrBadJob, e.what());
+      return response::errLine(protocol::kErrBadJob, e.what());
     }
   }
 
@@ -458,28 +482,28 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
     tokens >> idText;
     std::uint64_t id = 0;
     if (!parseId(idText, id)) {
-      return protocol::errLine(protocol::kErrBadRequest,
+      return response::errLine(protocol::kErrBadRequest,
                                "expected '" + command + " <id>'");
     }
     const std::optional<JobStatus> status = server_.status(id);
     if (!status) {
-      return protocol::errLine(protocol::kErrUnknownJob,
+      return response::errLine(protocol::kErrUnknownJob,
                                "no such job " + idText);
     }
 
     if (command == "STATUS") {
-      return protocol::okLine(idText + " " + toString(status->state) + " " +
+      return response::okLine(idText + " " + toString(status->state) + " " +
                               std::to_string(status->progressDone) + " " +
                               std::to_string(status->progressTotal));
     }
     if (command == "RESULT" || command == "REPORT") {
       const std::optional<engine::RunReport> report = server_.result(id);
       if (!report) {
-        return protocol::errLine(
+        return response::errLine(
             protocol::kErrPending,
             "job " + idText + " is " + toString(status->state));
       }
-      return protocol::okLine(
+      return response::okLine(
           idText + " " +
           (command == "REPORT" ? protocol::reportJson(*status, *report)
                                : protocol::jobJson(*status, *report)));
@@ -487,15 +511,15 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
     if (command == "CANCEL") {
       switch (server_.cancel(id)) {
         case CancelOutcome::QueuedCancelled:
-          return protocol::okLine(idText + " cancelled");
+          return response::okLine(idText + " cancelled");
         case CancelOutcome::RunningFlagged:
-          return protocol::okLine(idText + " cancelling");
+          return response::okLine(idText + " cancelling");
         case CancelOutcome::AlreadyTerminal:
-          return protocol::okLine(idText + " already-terminal");
+          return response::okLine(idText + " already-terminal");
         case CancelOutcome::Unknown:
           break;
       }
-      return protocol::errLine(protocol::kErrUnknownJob,
+      return response::errLine(protocol::kErrUnknownJob,
                                "no such job " + idText);
     }
 
@@ -547,6 +571,10 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
 
     std::string finalState;
     bool vanished = false;  // pruned from retention while we waited
+    // The lines of one wake-up, written with one send. The batch holding
+    // the terminal event also carries the `OK <id> <state>` line, which
+    // handleConnection writes, so the reply's tail is never split.
+    std::string out;
     // The job may already be terminal (subscribe raced the finish): emit
     // the synthetic terminal event from its recorded state.
     int lastDecile = -1;
@@ -587,13 +615,8 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
           if (decile == lastDecile) continue;
           lastDecile = decile;
         }
-        lock.unlock();
-        const bool ok = sendLine(fd, protocol::eventLine(event));
-        lock.lock();
-        if (!ok) {
-          keepOpen = false;
-          break;
-        }
+        out += protocol::eventLine(event);
+        out += '\n';
         if (event.type == JobEvent::Type::Done ||
             event.type == JobEvent::Type::Failed ||
             event.type == JobEvent::Type::Cancelled) {
@@ -603,19 +626,26 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
           break;
         }
       }
-      if (!keepOpen) break;
+      lock.unlock();
+      if (finalState.empty() && !out.empty()) {
+        if (!sendAll(fd, out)) {
+          keepOpen = false;
+          break;
+        }
+        out.clear();
+      }
     }
     server_.unsubscribe(token);
     if (vanished) {
-      return protocol::errLine(protocol::kErrUnknownJob,
+      return response::errLine(protocol::kErrUnknownJob,
                                "job " + idText + " no longer retained");
     }
-    if (!keepOpen || finalState.empty()) return "";
-    return protocol::okLine(idText + " " + finalState);
+    if (finalState.empty()) return "";
+    return out + response::okLine(idText + " " + finalState);
   }
 
   if (command == "STATS") {
-    return protocol::okLine(protocol::statsJson(server_.stats()));
+    return response::okLine(protocol::statsJson(server_.stats()));
   }
 
   if (command == "METRICS") {
@@ -623,20 +653,16 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
     // nbytes of Prometheus text exposition, so line-oriented clients can
     // skip the body while scrapers read it verbatim (docs/PROTOCOL.md).
     const std::string body = obs::Registry::global().renderPrometheus();
-    if (!sendLine(fd, protocol::okLine(std::to_string(body.size()))) ||
-        !sendAll(fd, body)) {
-      keepOpen = false;
-    }
-    return "";
+    return response::okLine(std::to_string(body.size())) + body;
   }
 
   if (command == "SHUTDOWN") {
     keepOpen = false;
     if (!shutdownFired_.exchange(true) && onShutdown_) onShutdown_();
-    return protocol::okLine("draining");
+    return response::okLine("draining");
   }
 
-  return protocol::errLine(protocol::kErrBadRequest,
+  return response::errLine(protocol::kErrBadRequest,
                            "unknown command '" + command + "'");
 }
 
@@ -669,8 +695,7 @@ void Client::connect(const std::string& host, std::uint16_t port,
   if (readTimeoutSeconds > 0.0) {
     setRecvTimeout(fd_, std::lround(readTimeoutSeconds * 1000.0));
   }
-  const int one = 1;
-  (void)setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  setNoDelay(fd_);
 }
 
 void Client::close() {
@@ -686,29 +711,34 @@ void Client::send(const std::string& line) {
   }
 }
 
-std::string Client::readLine() {
-  if (fd_ < 0) throw ProtocolError("not connected");
+void Client::receive(const char* closedMessage, const char* timeoutMessage) {
   char chunk[4096];
   while (true) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) throw ProtocolError("server closed the connection");
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        throw ProtocolError("timed out waiting for a reply");
-      }
-      throw ProtocolError("recv failed: " +
-                          std::string(std::strerror(errno)));
+    if (n > 0) {
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+      return;
     }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    if (n == 0) throw ProtocolError(closedMessage);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      throw ProtocolError(timeoutMessage);
+    }
+    throw ProtocolError("recv failed: " + std::string(std::strerror(errno)));
   }
+}
+
+std::string Client::readLine() {
+  if (fd_ < 0) throw ProtocolError("not connected");
+  std::size_t newline = buffer_.find('\n');
+  while (newline == std::string::npos) {
+    receive("server closed the connection", "timed out waiting for a reply");
+    newline = buffer_.find('\n');
+  }
+  std::string line = buffer_.substr(0, newline);
+  buffer_.erase(0, newline + 1);
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return line;
 }
 
 std::string Client::request(const std::string& line) {
@@ -776,31 +806,13 @@ std::string Client::metrics() {
   if (status != "OK" || !parseId(sizeText, nbytes)) {
     throw ProtocolError("METRICS failed: " + header);
   }
-  std::string body;
-  body.reserve(static_cast<std::size_t>(nbytes));
-  char chunk[4096];
-  while (body.size() < nbytes) {
-    if (!buffer_.empty()) {
-      const std::size_t take = std::min<std::size_t>(
-          static_cast<std::size_t>(nbytes) - body.size(), buffer_.size());
-      body.append(buffer_, 0, take);
-      buffer_.erase(0, take);
-      continue;
-    }
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      throw ProtocolError("server closed mid-METRICS body");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        throw ProtocolError("timed out reading the METRICS body");
-      }
-      throw ProtocolError("recv failed: " +
-                          std::string(std::strerror(errno)));
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+  const auto want = static_cast<std::size_t>(nbytes);
+  while (buffer_.size() < want) {
+    receive("server closed mid-METRICS body",
+            "timed out reading the METRICS body");
   }
+  std::string body = buffer_.substr(0, want);
+  buffer_.erase(0, want);
   return body;
 }
 

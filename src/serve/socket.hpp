@@ -80,10 +80,16 @@ class SocketFrontend {
 
   void acceptLoop();
   void handleConnection(int fd);
+  /// Run one command line and return its reply as wire-ready bytes (empty
+  /// = nothing to send), which handleConnection writes with one send: a
+  /// reply split over two writes would stall behind the peer's delayed ACK.
+  /// Only WAIT writes to `fd` itself, one send per batch of progress
+  /// events; its terminal event returns with the `OK` line.
   [[nodiscard]] std::string dispatch(const std::string& line, int fd,
                                      ConnectionState& state, bool& keepOpen);
   /// Consume and validate one binary frame (the UPLOAD body follows the
   /// header line). `buffer` holds bytes already received past the header.
+  /// Returns the wire-ready reply, like dispatch.
   [[nodiscard]] std::string handleUpload(const std::string& line, int fd,
                                          std::string& buffer,
                                          ConnectionState& state,
@@ -169,6 +175,9 @@ class Client {
  private:
   std::string uploadFrame(const std::string& id, int width, int height,
                           const void* data, std::size_t nbytes, bool oneshot);
+  /// Receive at least one more byte into buffer_. Throws ProtocolError
+  /// with `closedMessage` on EOF, `timeoutMessage` on the read timeout.
+  void receive(const char* closedMessage, const char* timeoutMessage);
 
   int fd_ = -1;
   std::string buffer_;

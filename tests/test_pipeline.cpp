@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "analysis/metrics.hpp"
 #include "core/pipeline.hpp"
 #include "img/synth.hpp"
@@ -140,6 +143,44 @@ TEST(BlindPipeline, MergeStatsAccountForAllResults) {
   EXPECT_EQ(produced, s.droppedOutsideCore + s.autoAccepted +
                           2 * s.mergedPairs + s.disputedAccepted +
                           s.disputedDiscarded);
+}
+
+/// A pipeline's progress is one stream in logical iterations: strictly
+/// increasing, every beat out of the same total, and ending at (sum of
+/// partition iterations, sum of partition iterations).
+void expectIterationProgress(
+    const std::function<PipelineReport(const mcmc::RunHooks&)>& run) {
+  std::vector<mcmc::RunProgress> beats;
+  mcmc::RunHooks hooks;
+  hooks.onProgress = [&](const mcmc::RunProgress& p) { beats.push_back(p); };
+  const PipelineReport report = run(hooks);
+  ASSERT_GE(report.partitions.size(), 2u);
+  std::uint64_t iterations = 0;
+  for (const PartitionRun& p : report.partitions) iterations += p.iterations;
+  ASSERT_FALSE(beats.empty());
+  for (std::size_t i = 0; i < beats.size(); ++i) {
+    EXPECT_STREQ(beats[i].phase, "sampling");
+    EXPECT_EQ(beats[i].total, iterations);
+    if (i > 0) {
+      EXPECT_GT(beats[i].done, beats[i - 1].done);
+    }
+  }
+  EXPECT_EQ(beats.back().done, iterations);
+}
+
+TEST(IntelligentPipeline, ProgressCountsLogicalIterations) {
+  const img::Scene scene = img::generateScene(img::beadsScene(39));
+  expectIterationProgress([&](const mcmc::RunHooks& hooks) {
+    return runIntelligentPipeline(scene.image, smallParams(), hooks);
+  });
+}
+
+TEST(BlindPipeline, ProgressCountsLogicalIterations) {
+  const img::Scene scene =
+      img::generateScene(img::cellScene(128, 128, 10, 8.0, 45));
+  expectIterationProgress([&](const mcmc::RunHooks& hooks) {
+    return runBlindPipeline(scene.image, smallParams(), hooks);
+  });
 }
 
 }  // namespace

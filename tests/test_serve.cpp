@@ -666,6 +666,40 @@ TEST_F(SocketFixture, EventSeqIsMonotonicPerJob) {
   }
 }
 
+/// Median wall time, in milliseconds, of `rounds` calls to `roundTrip`.
+double medianMillis(int rounds, const std::function<void()>& roundTrip) {
+  std::vector<double> millis;
+  for (int i = 0; i < rounds; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    roundTrip();
+    millis.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+  }
+  std::sort(millis.begin(), millis.end());
+  return millis[millis.size() / 2];
+}
+
+// A WAIT on a finished job and a METRICS scrape each answer with more than
+// one line. Written as two small sends on a Nagle connection, the second
+// waits for the ACK of the first, which the idle client delays by Linux's
+// 40 ms timer. Replies go out in one piece on a TCP_NODELAY socket, so both
+// round trips must sit far below that floor.
+TEST_F(SocketFixture, WaitAndMetricsRepliesDoNotStallOnDelayedAck) {
+  const std::uint64_t id = client.submit("synth serial @iters=200");
+  const std::string idText = std::to_string(id);
+  ASSERT_TRUE(waitFor([&] {
+    return client.request("STATUS " + idText).rfind("OK " + idText + " done",
+                                                    0) == 0;
+  }));
+  const double waitMillis =
+      medianMillis(10, [&] { EXPECT_EQ(client.wait(id), "done"); });
+  const double metricsMillis =
+      medianMillis(5, [&] { EXPECT_FALSE(client.metrics().empty()); });
+  EXPECT_LT(waitMillis, 20.0);
+  EXPECT_LT(metricsMillis, 20.0);
+}
+
 TEST_F(SocketFixture, SequenceJobStreamsOrderedFrameEvents) {
   const std::uint64_t id =
       client.submit("synth serial @sequence=4 @iters=300");
