@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/split_merge.hpp"
 #include "img/disc_raster.hpp"
 #include "img/synth.hpp"
@@ -245,6 +247,88 @@ void BM_LikelihoodDeltaReplace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LikelihoodDeltaReplace);
+
+// Gate pair for the replace-move delta (move-centre, resize and replace all
+// use it): the reference is the two-pass deltaReplace the one-pass version
+// replaced — each disc's rows walked separately, every span and cut
+// computed afresh, one kernel dispatch per span — and the candidate is
+// PixelLikelihood::deltaReplace, on the same state and move sequence. The
+// two return identical bits (test_likelihood pins that).
+
+template <typename Kernel>
+double twoPassOutsideCut(const float* gainRow, const std::uint16_t* covRow,
+                         int x0, int x1, img::RowSpan cut, Kernel&& kernel) {
+  const bool haveCut = cut.x0 < cut.x1;
+  const int leftEnd = haveCut ? std::clamp(cut.x0, x0, x1) : x1;
+  const int rightBegin = haveCut ? std::clamp(cut.x1, x0, x1) : x1;
+  double delta = 0.0;
+  if (x0 < leftEnd) {
+    delta += kernel(gainRow + x0, covRow + x0,
+                    static_cast<std::size_t>(leftEnd - x0));
+  }
+  if (rightBegin < x1) {
+    delta += kernel(gainRow + rightBegin, covRow + rightBegin,
+                    static_cast<std::size_t>(x1 - rightBegin));
+  }
+  return delta;
+}
+
+double twoPassDeltaReplace(const model::PixelLikelihood& lik,
+                           const model::Circle& oldC,
+                           const model::Circle& newC) {
+  const img::ImageF& gain = lik.gainRaster();
+  const img::Image<std::uint16_t>& coverage = lik.coverageRaster();
+  const double ox = oldC.x - lik.originX();
+  const double oy = oldC.y - lik.originY();
+  const double nx = newC.x - lik.originX();
+  const double ny = newC.y - lik.originY();
+  const int width = gain.width();
+  double delta = 0.0;
+  img::forEachDiscSpan(nx, ny, newC.r, width, gain.height(),
+                       [&](int y, int x0, int x1) {
+                         delta += twoPassOutsideCut(
+                             gain.row(y), coverage.row(y), x0, x1,
+                             img::discRowSpan(ox, oy, oldC.r, y, width),
+                             model::kernels::spanDeltaAdd);
+                       });
+  img::forEachDiscSpan(ox, oy, oldC.r, width, gain.height(),
+                       [&](int y, int x0, int x1) {
+                         delta += twoPassOutsideCut(
+                             gain.row(y), coverage.row(y), x0, x1,
+                             img::discRowSpan(nx, ny, newC.r, y, width),
+                             model::kernels::spanDeltaRemove);
+                       });
+  return delta;
+}
+
+/// Times `deltaReplace(lik, old, new)` over small moves of the state's
+/// circles (the move-centre proposal's shape).
+template <typename DeltaReplace>
+void runDeltaReplacePair(benchmark::State& state, DeltaReplace&& deltaReplace) {
+  const model::ModelState s = microState(256, 30, 13);
+  rng::Stream stream(14);
+  const auto ids = s.config().aliveIds();
+  for (auto _ : state) {
+    const model::Circle c = s.config().get(ids[stream.below(ids.size())]);
+    const model::Circle moved{c.x + stream.normal(0, 2.0),
+                              c.y + stream.normal(0, 2.0), c.r};
+    benchmark::DoNotOptimize(deltaReplace(s.likelihood(), c, moved));
+  }
+}
+
+void BM_LikelihoodDeltaReplaceTwoPass(benchmark::State& state) {
+  runDeltaReplacePair(state, twoPassDeltaReplace);
+}
+BENCHMARK(BM_LikelihoodDeltaReplaceTwoPass);
+
+void BM_LikelihoodDeltaReplaceOnePass(benchmark::State& state) {
+  runDeltaReplacePair(state, [](const model::PixelLikelihood& lik,
+                                const model::Circle& oldC,
+                                const model::Circle& newC) {
+    return lik.deltaReplace(oldC, newC);
+  });
+}
+BENCHMARK(BM_LikelihoodDeltaReplaceOnePass);
 
 void BM_FullPosteriorRecompute(benchmark::State& state) {
   model::ModelState s = microState(256, 30, 15);

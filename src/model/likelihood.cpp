@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "img/disc_raster.hpp"
@@ -13,10 +14,11 @@ namespace mcmcpar::model {
 
 // Every delta/apply method walks the disc as contiguous row spans
 // (img::forEachDiscSpan) and hands each span to the vectorised kernels in
-// model/likelihood_kernels.*. Span results are folded in row order into a
-// plain double (move deltas) or a KahanSum (whole-image totals), which —
-// together with the kernels' fixed-lane accumulation — makes every value
-// bit-reproducible across runs, backends and machines.
+// model/likelihood_kernels.*, looked up once per call (spanKernels()); delta
+// spans shorter than one lane bank run inline. Span results are folded in
+// row order into a plain double (move deltas) or a KahanSum (whole-image
+// totals), which — together with the kernels' fixed-lane accumulation —
+// makes every value bit-reproducible across runs, backends and machines.
 
 PixelLikelihood::PixelLikelihood(const img::ImageF& filtered,
                                  const LikelihoodParams& params, int originX,
@@ -47,86 +49,129 @@ PixelLikelihood::PixelLikelihood(const img::ImageF& filtered,
   constTerm_ = constTerm.value();
 }
 
+namespace {
+
+/// Delta of one span through the resolved table kernel, or inline when the
+/// span is shorter than one lane bank (bit-identical either way; see the
+/// short-span notes in likelihood_kernels.hpp).
+template <auto ShortKernel>
+double spanDelta(kernels::SpanDeltaFn kernel, const float* gain,
+                 const std::uint16_t* cov, int n) noexcept {
+  const auto count = static_cast<std::size_t>(n);
+  return count < kernels::kLanes ? ShortKernel(gain, cov, count)
+                                 : kernel(gain, cov, count);
+}
+
+/// Sum `kernel` over the sub-spans of `span` lying OUTSIDE the cut span (at
+/// most two contiguous segments), keeping the kernels on contiguous slices.
+/// The cut uses the same span geometry as the enumeration, so the excluded
+/// pixel set is exactly the other disc's raster footprint.
+template <auto ShortKernel>
+double spanOutsideCut(const float* gainRow, const std::uint16_t* covRow,
+                      img::RowSpan span, img::RowSpan cut,
+                      kernels::SpanDeltaFn kernel) noexcept {
+  const bool haveCut = cut.x0 < cut.x1;
+  const int leftEnd = haveCut ? std::clamp(cut.x0, span.x0, span.x1) : span.x1;
+  const int rightBegin =
+      haveCut ? std::clamp(cut.x1, span.x0, span.x1) : span.x1;
+  double delta = 0.0;
+  if (span.x0 < leftEnd) {
+    delta += spanDelta<ShortKernel>(kernel, gainRow + span.x0,
+                                    covRow + span.x0, leftEnd - span.x0);
+  }
+  if (rightBegin < span.x1) {
+    delta += spanDelta<ShortKernel>(kernel, gainRow + rightBegin,
+                                    covRow + rightBegin, span.x1 - rightBegin);
+  }
+  return delta;
+}
+
+/// The rows img::forEachDiscSpan visits for a disc; an empty range is
+/// normalised to {INT_MAX, INT_MIN} so unions are a plain min/max.
+img::RowRange visitedRows(double cy, double r, int width, int height) noexcept {
+  constexpr img::RowRange kNone{std::numeric_limits<int>::max(),
+                                std::numeric_limits<int>::min()};
+  if (!(r > 0.0) || width <= 0 || height <= 0) return kNone;
+  const img::RowRange rows = img::discRowRange(cy, r, height);
+  return rows.y0 <= rows.y1 ? rows : kNone;
+}
+
+}  // namespace
+
 double PixelLikelihood::deltaAdd(const Circle& c) const noexcept {
+  const kernels::SpanDeltaFn kernel = kernels::spanKernels().deltaAdd;
   double delta = 0.0;
   const double lx = c.x - originX_;
   const double ly = c.y - originY_;
   img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
                        [&](int y, int x0, int x1) noexcept {
-                         delta += kernels::spanDeltaAdd(
-                             gain_.row(y) + x0, coverage_.row(y) + x0,
-                             static_cast<std::size_t>(x1 - x0));
+                         delta += spanDelta<kernels::shortSpanDeltaAdd>(
+                             kernel, gain_.row(y) + x0, coverage_.row(y) + x0,
+                             x1 - x0);
                        });
   return delta;
 }
 
 double PixelLikelihood::deltaRemove(const Circle& c) const noexcept {
+  const kernels::SpanDeltaFn kernel = kernels::spanKernels().deltaRemove;
   double delta = 0.0;
   const double lx = c.x - originX_;
   const double ly = c.y - originY_;
   img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
                        [&](int y, int x0, int x1) noexcept {
-                         delta += kernels::spanDeltaRemove(
-                             gain_.row(y) + x0, coverage_.row(y) + x0,
-                             static_cast<std::size_t>(x1 - x0));
+                         delta += spanDelta<kernels::shortSpanDeltaRemove>(
+                             kernel, gain_.row(y) + x0, coverage_.row(y) + x0,
+                             x1 - x0);
                        });
   return delta;
 }
 
-namespace {
-
-/// Apply `kernel` to the sub-spans of [x0, x1) lying OUTSIDE the cut span
-/// (at most two contiguous segments), keeping the kernels on contiguous
-/// slices. The cut uses the same span geometry as the enumeration, so the
-/// excluded pixel set is exactly the other disc's raster footprint.
-template <typename Kernel>
-double spanOutsideCut(const float* gainRow, const std::uint16_t* covRow,
-                      int x0, int x1, img::RowSpan cut,
-                      Kernel&& kernel) noexcept {
-  const bool haveCut = cut.x0 < cut.x1;
-  const int leftEnd = haveCut ? std::clamp(cut.x0, x0, x1) : x1;
-  const int rightBegin = haveCut ? std::clamp(cut.x1, x0, x1) : x1;
-  double delta = 0.0;
-  if (x0 < leftEnd) {
-    delta += kernel(gainRow + x0, covRow + x0,
-                    static_cast<std::size_t>(leftEnd - x0));
-  }
-  if (rightBegin < x1) {
-    delta += kernel(gainRow + rightBegin, covRow + rightBegin,
-                    static_cast<std::size_t>(x1 - rightBegin));
-  }
-  return delta;
-}
-
-}  // namespace
-
 double PixelLikelihood::deltaReplace(const Circle& oldC,
                                      const Circle& newC) const noexcept {
-  // Pixels in new\old becoming covered, pixels in old\new becoming bare.
-  // Subtracting the other disc's row span from each enumerated span keeps
+  // Pixels in new\old become covered, pixels in old\new become bare.
+  // Subtracting the other disc's row span from each disc's own span keeps
   // the kernels on contiguous slices and reuses the exact span geometry of
   // the apply path, so the two discs' pixel sets can never disagree with an
   // applyRemove+applyAdd of the same circles.
-  double delta = 0.0;
+  //
+  // One walk over the union of the discs' rows computes each row's two
+  // spans once; each serves as one disc's own span and as the other's cut.
+  // A disc's own rows are exactly the rows forEachDiscSpan would visit. The
+  // sum keeps the two-disc order: new-disc rows fold into `delta` as they
+  // come, old-disc rows are buffered and fold afterwards, in row order.
+  const kernels::SpanKernels& k = kernels::spanKernels();
+  const int width = gain_.width();
+  const int height = gain_.height();
   const double ox = oldC.x - originX_;
   const double oy = oldC.y - originY_;
   const double nx = newC.x - originX_;
   const double ny = newC.y - originY_;
-  const int width = gain_.width();
-  img::forEachDiscSpan(
-      nx, ny, newC.r, width, gain_.height(),
-      [&](int y, int x0, int x1) noexcept {
-        delta += spanOutsideCut(gain_.row(y), coverage_.row(y), x0, x1,
-                                img::discRowSpan(ox, oy, oldC.r, y, width),
-                                kernels::spanDeltaAdd);
-      });
-  img::forEachDiscSpan(
-      ox, oy, oldC.r, width, gain_.height(),
-      [&](int y, int x0, int x1) noexcept {
-        delta += spanOutsideCut(gain_.row(y), coverage_.row(y), x0, x1,
-                                img::discRowSpan(nx, ny, newC.r, y, width),
-                                kernels::spanDeltaRemove);
-      });
+  const img::RowRange newRows = visitedRows(ny, newC.r, width, height);
+  const img::RowRange oldRows = visitedRows(oy, oldC.r, width, height);
+  // thread_local: the in-place executor evaluates const deltas concurrently
+  // on one likelihood.
+  thread_local std::vector<double> oldRowDeltas;
+  oldRowDeltas.clear();
+  double delta = 0.0;
+  const int yEnd = std::max(newRows.y1, oldRows.y1);
+  for (int y = std::min(newRows.y0, oldRows.y0); y <= yEnd; ++y) {
+    const bool inNew = y >= newRows.y0 && y <= newRows.y1;
+    const bool inOld = y >= oldRows.y0 && y <= oldRows.y1;
+    if (!inNew && !inOld) continue;
+    const img::RowSpan newSpan = img::discRowSpan(nx, ny, newC.r, y, width);
+    const img::RowSpan oldSpan = img::discRowSpan(ox, oy, oldC.r, y, width);
+    const float* gainRow = gain_.row(y);
+    const std::uint16_t* covRow = coverage_.row(y);
+    if (inNew && newSpan.x0 < newSpan.x1) {
+      delta += spanOutsideCut<kernels::shortSpanDeltaAdd>(
+          gainRow, covRow, newSpan, oldSpan, k.deltaAdd);
+    }
+    if (inOld && oldSpan.x0 < oldSpan.x1) {
+      oldRowDeltas.push_back(spanOutsideCut<kernels::shortSpanDeltaRemove>(
+          gainRow, covRow, oldSpan, newSpan, k.deltaRemove));
+    }
+  }
+  for (const double rowDelta : oldRowDeltas) delta += rowDelta;
   return delta;
 }
 
@@ -156,52 +201,71 @@ double PixelLikelihood::deltaMultiple(std::span<const Circle> removed,
   const int bboxWidth = x1 - x0 + 1;
 
   // Per-row coverage deltas, rebuilt from the circles' row spans (one sqrt
-  // per circle per row; every disc span lies inside the bounding box). The
-  // buffers are thread_local because const delta evaluation may run
-  // concurrently on the same likelihood (in-place executor).
-  thread_local std::vector<std::int16_t> scratch;
-  if (scratch.size() < static_cast<std::size_t>(2 * bboxWidth)) {
-    scratch.assign(static_cast<std::size_t>(2 * bboxWidth), 0);
+  // per circle per row; every disc span lies inside the bounding box). Each
+  // span marks +1 at its start and -1 past its end in a difference row; a
+  // running sum over the row's extent turns that into the per-pixel counts
+  // and zeroes the difference row for the next one. The buffers are
+  // thread_local because const delta evaluation may run concurrently on the
+  // same likelihood (in-place executor).
+  const std::size_t rowLength = static_cast<std::size_t>(bboxWidth) + 1;
+  thread_local std::vector<std::int16_t> diffs;   // all zero between rows
+  thread_local std::vector<std::int16_t> counts;  // written before read
+  if (diffs.size() < 2 * rowLength) {
+    diffs.assign(2 * rowLength, 0);
+    counts.resize(2 * rowLength);
   }
-  std::int16_t* dOld = scratch.data();
-  std::int16_t* dNew = scratch.data() + bboxWidth;
+  std::int16_t* diffOld = diffs.data();
+  std::int16_t* diffNew = diffOld + rowLength;
+  std::int16_t* dOld = counts.data();
+  std::int16_t* dNew = dOld + rowLength;
+  const kernels::SpanTransitionFn transition =
+      kernels::spanKernels().transitionDelta;
 
   double delta = 0.0;
   for (int y = y0; y <= y1; ++y) {
     int rowMin = x1 + 1;
     int rowMax = x0 - 1;
-    const auto splat = [&](const Circle& c, std::int16_t* counts) noexcept {
+    const auto mark = [&](const Circle& c, std::int16_t* diff) noexcept {
       const img::RowSpan s = img::discRowSpan(
           c.x - originX_, c.y - originY_, c.r, y, gain_.width());
       if (s.x0 >= s.x1) return;
       assert(s.x0 >= x0 && s.x1 <= x1 + 1);
       rowMin = std::min(rowMin, s.x0);
       rowMax = std::max(rowMax, s.x1 - 1);
-      for (int x = s.x0; x < s.x1; ++x) {
-        counts[x - x0] = static_cast<std::int16_t>(counts[x - x0] + 1);
-      }
+      ++diff[s.x0 - x0];
+      --diff[s.x1 - x0];
     };
-    for (const Circle& c : removed) splat(c, dOld);
-    for (const Circle& c : added) splat(c, dNew);
+    for (const Circle& c : removed) mark(c, diffOld);
+    for (const Circle& c : added) mark(c, diffNew);
     if (rowMin > rowMax) continue;
-    const int off = rowMin - x0;
-    const std::size_t n = static_cast<std::size_t>(rowMax - rowMin + 1);
-    delta += kernels::spanTransitionDelta(gain_.row(y) + rowMin,
-                                          coverage_.row(y) + rowMin,
-                                          dOld + off, dNew + off, n);
-    std::fill(dOld + off, dOld + off + n, std::int16_t{0});
-    std::fill(dNew + off, dNew + off + n, std::int16_t{0});
+    const auto off = static_cast<std::size_t>(rowMin - x0);
+    const auto n = static_cast<std::size_t>(rowMax - rowMin + 1);
+    std::int16_t runOld = 0;
+    std::int16_t runNew = 0;
+    for (std::size_t i = off; i < off + n; ++i) {
+      runOld = static_cast<std::int16_t>(runOld + diffOld[i]);
+      runNew = static_cast<std::int16_t>(runNew + diffNew[i]);
+      dOld[i] = runOld;
+      dNew[i] = runNew;
+      diffOld[i] = 0;
+      diffNew[i] = 0;
+    }
+    diffOld[off + n] = 0;
+    diffNew[off + n] = 0;
+    delta += transition(gain_.row(y) + rowMin, coverage_.row(y) + rowMin,
+                        dOld + off, dNew + off, n);
   }
   return delta;
 }
 
 double PixelLikelihood::applyAdd(const Circle& c) noexcept {
+  const kernels::SpanApplyFn kernel = kernels::spanKernels().applyAdd;
   double delta = 0.0;
   const double lx = c.x - originX_;
   const double ly = c.y - originY_;
   img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
                        [&](int y, int x0, int x1) noexcept {
-                         delta += kernels::spanApplyAdd(
+                         delta += kernel(
                              gain_.row(y) + x0, coverage_.row(y) + x0,
                              static_cast<std::size_t>(x1 - x0));
                        });
@@ -209,12 +273,13 @@ double PixelLikelihood::applyAdd(const Circle& c) noexcept {
 }
 
 double PixelLikelihood::applyRemove(const Circle& c) noexcept {
+  const kernels::SpanApplyFn kernel = kernels::spanKernels().applyRemove;
   double delta = 0.0;
   const double lx = c.x - originX_;
   const double ly = c.y - originY_;
   img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
                        [&](int y, int x0, int x1) noexcept {
-                         delta += kernels::spanApplyRemove(
+                         delta += kernel(
                              gain_.row(y) + x0, coverage_.row(y) + x0,
                              static_cast<std::size_t>(x1 - x0));
                        });
@@ -222,10 +287,11 @@ double PixelLikelihood::applyRemove(const Circle& c) noexcept {
 }
 
 void PixelLikelihood::resynchronise() noexcept {
+  const kernels::SpanDeltaFn sumCovered = kernels::spanKernels().sumCovered;
   kernels::KahanSum total;
   for (int y = 0; y < gain_.height(); ++y) {
-    total.add(kernels::spanSumCovered(gain_.row(y), coverage_.row(y),
-                                      static_cast<std::size_t>(gain_.width())));
+    total.add(sumCovered(gain_.row(y), coverage_.row(y),
+                         static_cast<std::size_t>(gain_.width())));
   }
   coveredGain_ = total.value();
 }
@@ -242,10 +308,11 @@ double PixelLikelihood::referenceCoveredGain(
   }
   // Same kernel + same row-ordered Kahan fold as resynchronise(), so a
   // resynchronised total bit-matches this reference.
+  const kernels::SpanDeltaFn sumCovered = kernels::spanKernels().sumCovered;
   kernels::KahanSum total;
   for (int y = 0; y < gain_.height(); ++y) {
-    total.add(kernels::spanSumCovered(gain_.row(y), cov.row(y),
-                                      static_cast<std::size_t>(gain_.width())));
+    total.add(sumCovered(gain_.row(y), cov.row(y),
+                         static_cast<std::size_t>(gain_.width())));
   }
   return total.value();
 }

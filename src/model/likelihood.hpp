@@ -38,9 +38,10 @@ struct LikelihoodParams {
 ///
 /// Hot path: every method walks the disc as contiguous row spans
 /// (img::forEachDiscSpan) and sums each span with the vectorised kernels in
-/// model/likelihood_kernels.hpp. The kernels' fixed-lane accumulation makes
-/// every delta bit-reproducible across backends (scalar/omp-simd/AVX2) and
-/// machines — see the determinism policy in that header.
+/// model/likelihood_kernels.hpp; deltaReplace walks both discs' rows in one
+/// pass. The kernels' fixed-lane accumulation makes every delta
+/// bit-reproducible across backends (scalar/omp-simd/AVX2) and machines —
+/// see the determinism policy in that header.
 class PixelLikelihood {
  public:
   PixelLikelihood() = default;
@@ -60,6 +61,14 @@ class PixelLikelihood {
     return constTerm_ + coveredGain_;
   }
   [[nodiscard]] double coveredGain() const noexcept { return coveredGain_; }
+
+  /// The per-pixel covered gain and coverage-count rasters the span kernels
+  /// read, in local (crop) coordinates: for reference implementations.
+  [[nodiscard]] const img::ImageF& gainRaster() const noexcept { return gain_; }
+  [[nodiscard]] const img::Image<std::uint16_t>& coverageRaster()
+      const noexcept {
+    return coverage_;
+  }
 
   /// Coverage count at a global pixel coordinate (must be inside the crop).
   [[nodiscard]] std::uint16_t coverageAt(int gx, int gy) const noexcept {

@@ -24,11 +24,6 @@ static_assert(kLanes == 8, "the unrolled lane bodies and AVX2 TU assume 8 lanes"
 
 namespace {
 
-inline double combineLanes(const double lanes[kLanes]) noexcept {
-  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-}
-
 // Expands `op(l)` once per lane with `l` a constant expression, keeping every
 // accumulator a named local.
 #define MCMCPAR_FOR_EACH_LANE(op) \
@@ -115,7 +110,6 @@ double scalarApplyRemove(const float* gain, std::uint16_t* cov,
   double lanes[kLanes] = {l0, l1, l2, l3, l4, l5, l6, l7};
   for (; i < n; ++i) {
     const std::uint16_t old = cov[i];
-    assert(old > 0 && "applyRemove on an uncovered pixel");
     lanes[i & 7] -= old == 1 ? static_cast<double>(gain[i]) : 0.0;
     cov[i] = static_cast<std::uint16_t>(old - (old > 0 ? 1 : 0));
   }
@@ -138,6 +132,62 @@ double scalarSumCovered(const float* gain, const std::uint16_t* cov,
   }
   return combineLanes(lanes);
 }
+
+double scalarTransitionDelta(const float* gain, const std::uint16_t* cov,
+                             const std::int16_t* dOld,
+                             const std::int16_t* dNew,
+                             std::size_t n) noexcept {
+  double l0 = 0, l1 = 0, l2 = 0, l3 = 0, l4 = 0, l5 = 0, l6 = 0, l7 = 0;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+#define MCMCPAR_LANE_OP(k)                                  \
+  do {                                                      \
+    const int cur = cov[i + k];                             \
+    const bool was = cur > 0;                               \
+    const bool now = cur - dOld[i + k] + dNew[i + k] > 0;   \
+    l##k += was == now ? 0.0                                \
+            : now      ? static_cast<double>(gain[i + k])   \
+                       : -static_cast<double>(gain[i + k]); \
+  } while (false)
+    MCMCPAR_FOR_EACH_LANE(MCMCPAR_LANE_OP);
+#undef MCMCPAR_LANE_OP
+  }
+  double lanes[kLanes] = {l0, l1, l2, l3, l4, l5, l6, l7};
+  for (; i < n; ++i) {
+    const int cur = cov[i];
+    const bool was = cur > 0;
+    const bool now = cur - dOld[i] + dNew[i] > 0;
+    lanes[i & 7] += was == now ? 0.0
+                    : now      ? static_cast<double>(gain[i])
+                               : -static_cast<double>(gain[i]);
+  }
+  return combineLanes(lanes);
+}
+
+// The debug check fires for every backend; the AVX2 TU has no asserts of its
+// own.
+template <SpanApplyFn Impl>
+double checkedApplyRemove(const float* gain, std::uint16_t* cov,
+                          std::size_t n) noexcept {
+#if !defined(NDEBUG)
+  for (std::size_t i = 0; i < n; ++i) {
+    assert(cov[i] > 0 && "applyRemove on an uncovered pixel");
+  }
+#endif
+  return Impl(gain, cov, n);
+}
+
+constexpr SpanKernels kScalarKernels{
+    scalarDeltaAdd,  scalarDeltaRemove,
+    scalarApplyAdd,  checkedApplyRemove<scalarApplyRemove>,
+    scalarSumCovered, scalarTransitionDelta};
+
+#if defined(MCMCPAR_HAVE_AVX2_KERNELS)
+constexpr SpanKernels kAvx2Kernels{
+    avx2::spanDeltaAdd,   avx2::spanDeltaRemove,
+    avx2::spanApplyAdd,   checkedApplyRemove<avx2::spanApplyRemove>,
+    avx2::spanSumCovered, avx2::spanTransitionDelta};
+#endif
 
 Backend detectBackend() noexcept {
   const char* forced = std::getenv("MCMCPAR_SIMD");
@@ -179,87 +229,11 @@ bool setBackend(Backend backend) noexcept {
   return true;
 }
 
-double spanDeltaAdd(const float* gain, const std::uint16_t* cov,
-                    std::size_t n) noexcept {
+const SpanKernels& spanKernels() noexcept {
 #if defined(MCMCPAR_HAVE_AVX2_KERNELS)
-  if (activeBackend() == Backend::Avx2) return avx2::spanDeltaAdd(gain, cov, n);
+  if (activeBackend() == Backend::Avx2) return kAvx2Kernels;
 #endif
-  return scalarDeltaAdd(gain, cov, n);
-}
-
-double spanDeltaRemove(const float* gain, const std::uint16_t* cov,
-                       std::size_t n) noexcept {
-#if defined(MCMCPAR_HAVE_AVX2_KERNELS)
-  if (activeBackend() == Backend::Avx2) {
-    return avx2::spanDeltaRemove(gain, cov, n);
-  }
-#endif
-  return scalarDeltaRemove(gain, cov, n);
-}
-
-double spanApplyAdd(const float* gain, std::uint16_t* cov,
-                    std::size_t n) noexcept {
-#if defined(MCMCPAR_HAVE_AVX2_KERNELS)
-  if (activeBackend() == Backend::Avx2) return avx2::spanApplyAdd(gain, cov, n);
-#endif
-  return scalarApplyAdd(gain, cov, n);
-}
-
-double spanApplyRemove(const float* gain, std::uint16_t* cov,
-                       std::size_t n) noexcept {
-#if !defined(NDEBUG)
-  // The debug-check must fire regardless of backend; the AVX2 TU has no
-  // asserts of its own.
-  for (std::size_t i = 0; i < n; ++i) {
-    assert(cov[i] > 0 && "applyRemove on an uncovered pixel");
-  }
-#endif
-#if defined(MCMCPAR_HAVE_AVX2_KERNELS)
-  if (activeBackend() == Backend::Avx2) {
-    return avx2::spanApplyRemove(gain, cov, n);
-  }
-#endif
-  return scalarApplyRemove(gain, cov, n);
-}
-
-double spanSumCovered(const float* gain, const std::uint16_t* cov,
-                      std::size_t n) noexcept {
-#if defined(MCMCPAR_HAVE_AVX2_KERNELS)
-  if (activeBackend() == Backend::Avx2) {
-    return avx2::spanSumCovered(gain, cov, n);
-  }
-#endif
-  return scalarSumCovered(gain, cov, n);
-}
-
-double spanTransitionDelta(const float* gain, const std::uint16_t* cov,
-                           const std::int16_t* dOld, const std::int16_t* dNew,
-                           std::size_t n) noexcept {
-  double l0 = 0, l1 = 0, l2 = 0, l3 = 0, l4 = 0, l5 = 0, l6 = 0, l7 = 0;
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-#define MCMCPAR_LANE_OP(k)                                  \
-  do {                                                      \
-    const int cur = cov[i + k];                             \
-    const bool was = cur > 0;                               \
-    const bool now = cur - dOld[i + k] + dNew[i + k] > 0;   \
-    l##k += was == now ? 0.0                                \
-            : now      ? static_cast<double>(gain[i + k])   \
-                       : -static_cast<double>(gain[i + k]); \
-  } while (false)
-    MCMCPAR_FOR_EACH_LANE(MCMCPAR_LANE_OP);
-#undef MCMCPAR_LANE_OP
-  }
-  double lanes[kLanes] = {l0, l1, l2, l3, l4, l5, l6, l7};
-  for (; i < n; ++i) {
-    const int cur = cov[i];
-    const bool was = cur > 0;
-    const bool now = cur - dOld[i] + dNew[i] > 0;
-    lanes[i & 7] += was == now ? 0.0
-                    : now      ? static_cast<double>(gain[i])
-                               : -static_cast<double>(gain[i]);
-  }
-  return combineLanes(lanes);
+  return kScalarKernels;
 }
 
 }  // namespace mcmcpar::model::kernels

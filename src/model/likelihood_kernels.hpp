@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -55,40 +56,117 @@ bool setBackend(Backend backend) noexcept;
 // `gain` and `cov` point at the same span of one raster row; n is the span
 // length. All return the covered-gain delta contribution of that span.
 
-/// Sum of gain[i] where cov[i] == 0 (delta of adding a disc over the span).
-[[nodiscard]] double spanDeltaAdd(const float* gain, const std::uint16_t* cov,
-                                  std::size_t n) noexcept;
-
-/// Negated sum of gain[i] where cov[i] == 1 (delta of removing a disc).
-[[nodiscard]] double spanDeltaRemove(const float* gain,
-                                     const std::uint16_t* cov,
-                                     std::size_t n) noexcept;
-
-/// spanDeltaAdd + increment every cov[i] (saturating at 65535 instead of
-/// wrapping; >65535 overlapping discs is unreachable in practice).
-double spanApplyAdd(const float* gain, std::uint16_t* cov,
-                    std::size_t n) noexcept;
-
-/// spanDeltaRemove + decrement every cov[i]. The decrement CLAMPS at zero:
-/// an uncovered pixel stays 0 (debug builds assert) rather than wrapping the
-/// uint16 to 65535 and silently corrupting every subsequent delta.
-double spanApplyRemove(const float* gain, std::uint16_t* cov,
-                       std::size_t n) noexcept;
-
-/// Sum of gain[i] where cov[i] > 0 (resynchronise / reference recompute).
-[[nodiscard]] double spanSumCovered(const float* gain,
+using SpanDeltaFn = double (*)(const float* gain, const std::uint16_t* cov,
+                               std::size_t n) noexcept;
+using SpanApplyFn = double (*)(const float* gain, std::uint16_t* cov,
+                               std::size_t n) noexcept;
+using SpanTransitionFn = double (*)(const float* gain,
                                     const std::uint16_t* cov,
+                                    const std::int16_t* dOld,
+                                    const std::int16_t* dNew,
                                     std::size_t n) noexcept;
 
-/// Joint coverage-transition delta for multi-disc moves: pixel i currently
-/// has count cov[i], loses dOld[i] discs and gains dNew[i]; the result sums
-/// +gain where the pixel becomes covered and -gain where it becomes bare.
-/// Scalar/omp-simd only (split/merge moves are far off the hot path).
-[[nodiscard]] double spanTransitionDelta(const float* gain,
+/// One backend's span kernels. A likelihood method looks the table up once
+/// per call (spanKernels()) and then calls through it for every span, so the
+/// backend switch is paid per move rather than per span.
+struct SpanKernels {
+  /// Sum of gain[i] where cov[i] == 0 (delta of adding a disc over the span).
+  SpanDeltaFn deltaAdd;
+  /// Negated sum of gain[i] where cov[i] == 1 (delta of removing a disc).
+  SpanDeltaFn deltaRemove;
+  /// deltaAdd + increment every cov[i] (saturating at 65535 instead of
+  /// wrapping; >65535 overlapping discs is unreachable in practice).
+  SpanApplyFn applyAdd;
+  /// deltaRemove + decrement every cov[i]. The decrement CLAMPS at zero: an
+  /// uncovered pixel stays 0 (debug builds assert) rather than wrapping the
+  /// uint16 to 65535 and silently corrupting every subsequent delta.
+  SpanApplyFn applyRemove;
+  /// Sum of gain[i] where cov[i] > 0 (resynchronise / reference recompute).
+  SpanDeltaFn sumCovered;
+  /// Joint coverage-transition delta for multi-disc moves: pixel i currently
+  /// has count cov[i], loses dOld[i] discs and gains dNew[i]; the result sums
+  /// +gain where the pixel becomes covered and -gain where it becomes bare.
+  SpanTransitionFn transitionDelta;
+};
+
+/// The kernel table of the active backend.
+[[nodiscard]] const SpanKernels& spanKernels() noexcept;
+
+// Single-span entry points over the active backend (tests, benchmarks and
+// one-off callers; loops over many spans should hoist spanKernels()).
+
+[[nodiscard]] inline double spanDeltaAdd(const float* gain,
                                          const std::uint16_t* cov,
-                                         const std::int16_t* dOld,
-                                         const std::int16_t* dNew,
-                                         std::size_t n) noexcept;
+                                         std::size_t n) noexcept {
+  return spanKernels().deltaAdd(gain, cov, n);
+}
+
+[[nodiscard]] inline double spanDeltaRemove(const float* gain,
+                                            const std::uint16_t* cov,
+                                            std::size_t n) noexcept {
+  return spanKernels().deltaRemove(gain, cov, n);
+}
+
+inline double spanApplyAdd(const float* gain, std::uint16_t* cov,
+                           std::size_t n) noexcept {
+  return spanKernels().applyAdd(gain, cov, n);
+}
+
+inline double spanApplyRemove(const float* gain, std::uint16_t* cov,
+                              std::size_t n) noexcept {
+  return spanKernels().applyRemove(gain, cov, n);
+}
+
+[[nodiscard]] inline double spanSumCovered(const float* gain,
+                                           const std::uint16_t* cov,
+                                           std::size_t n) noexcept {
+  return spanKernels().sumCovered(gain, cov, n);
+}
+
+[[nodiscard]] inline double spanTransitionDelta(const float* gain,
+                                                const std::uint16_t* cov,
+                                                const std::int16_t* dOld,
+                                                const std::int16_t* dNew,
+                                                std::size_t n) noexcept {
+  return spanKernels().transitionDelta(gain, cov, dOld, dNew, n);
+}
+
+// --- short spans ------------------------------------------------------------
+// Spans shorter than one lane bank (n < kLanes; the 1-4 pixel ring segments
+// of a replace move are the common case) are evaluated inline, without a
+// call through the table. Each element lands in its own lane, so this is
+// exactly the kernels' tail loop: lanes start at +0.0, lane i accumulates
+// element i, and the bank combines in the fixed pairwise order. The results
+// are therefore bit-identical to the table kernels of either backend.
+
+[[nodiscard]] inline double combineLanes(const double lanes[kLanes]) noexcept {
+  return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
+         ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+}
+
+/// spanDeltaAdd for n < kLanes.
+[[nodiscard]] inline double shortSpanDeltaAdd(const float* gain,
+                                              const std::uint16_t* cov,
+                                              std::size_t n) noexcept {
+  assert(n < kLanes);
+  double lanes[kLanes] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    lanes[i] += cov[i] == 0 ? static_cast<double>(gain[i]) : 0.0;
+  }
+  return combineLanes(lanes);
+}
+
+/// spanDeltaRemove for n < kLanes.
+[[nodiscard]] inline double shortSpanDeltaRemove(const float* gain,
+                                                 const std::uint16_t* cov,
+                                                 std::size_t n) noexcept {
+  assert(n < kLanes);
+  double lanes[kLanes] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    lanes[i] -= cov[i] == 1 ? static_cast<double>(gain[i]) : 0.0;
+  }
+  return combineLanes(lanes);
+}
 
 // --- compensated accumulation ---------------------------------------------
 

@@ -160,4 +160,48 @@ double spanSumCovered(const float* gain, const std::uint16_t* cov,
   return combineLanes(lanes);
 }
 
+double spanTransitionDelta(const float* gain, const std::uint16_t* cov,
+                           const std::int16_t* dOld, const std::int16_t* dNew,
+                           std::size_t n) noexcept {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256 signBit = _mm256_set1_ps(-0.0f);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // The count arithmetic runs in 32 bits, like the scalar int: cov up to
+    // 65535 minus/plus int16 deltas cannot overflow there.
+    const __m256i cur = _mm256_cvtepu16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cov + i)));
+    const __m256i lost = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dOld + i)));
+    const __m256i gained = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dNew + i)));
+    const __m256i was = _mm256_cmpgt_epi32(cur, zero);
+    const __m256i now = _mm256_cmpgt_epi32(
+        _mm256_add_epi32(_mm256_sub_epi32(cur, lost), gained), zero);
+    // Flipped pixels contribute their gain; those becoming bare (was and
+    // not now) get the sign bit flipped, the exact -gain of the scalar arm.
+    // Unflipped pixels contribute +0.0, as the scalar 0.0 arm does.
+    const __m256 flipped =
+        _mm256_castsi256_ps(_mm256_xor_si256(was, now));
+    const __m256 bare = _mm256_castsi256_ps(_mm256_andnot_si256(now, was));
+    const __m256 vals =
+        _mm256_xor_ps(_mm256_and_ps(_mm256_loadu_ps(gain + i), flipped),
+                      _mm256_and_ps(bare, signBit));
+    accumulate(acc0, acc1, vals);
+  }
+  double lanes[8];
+  storeLanes(lanes, acc0, acc1);
+  for (; i < n; ++i) {
+    const int cur = cov[i];
+    const bool was = cur > 0;
+    const bool now = cur - dOld[i] + dNew[i] > 0;
+    lanes[i & 7] += was == now ? 0.0
+                    : now      ? static_cast<double>(gain[i])
+                               : -static_cast<double>(gain[i]);
+  }
+  return combineLanes(lanes);
+}
+
 }  // namespace mcmcpar::model::kernels::avx2

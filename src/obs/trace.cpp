@@ -49,7 +49,13 @@ std::string fmtMicros(double micros) {
 
 }  // namespace
 
-Tracer::Tracer() : epoch_(Clock::now()) {}
+Tracer::Tracer(std::size_t maxEventsPerBuffer)
+    : dropped_(Registry::global().counter(
+          "mcmcpar_trace_events_dropped_total",
+          "Trace events dropped because a thread buffer was full.")),
+      maxEventsPerBuffer_(maxEventsPerBuffer),
+      id_(nextId_.fetch_add(1, std::memory_order_relaxed)),
+      epoch_(Clock::now()) {}
 
 Tracer& Tracer::global() {
   static Tracer* instance = new Tracer();
@@ -61,14 +67,25 @@ void Tracer::setEnabled(bool on) noexcept {
 }
 
 Tracer::ThreadBuffer& Tracer::buffer() {
-  thread_local std::shared_ptr<ThreadBuffer> tls;
-  if (!tls) {
-    tls = std::make_shared<ThreadBuffer>();
-    const std::lock_guard<std::mutex> lock(registryMutex_);
-    tls->tid = nextTid_++;
-    buffers_.push_back(tls);
+  // One buffer per (thread, tracer). The tracer owns its buffers; a thread
+  // finds its own by the tracer's process-unique id, so a tracer created
+  // at a destroyed one's address never picks up a dangling buffer.
+  struct Slot {
+    std::uint64_t tracer;
+    ThreadBuffer* buffer;
+  };
+  thread_local std::vector<Slot> slots;
+  for (const Slot& slot : slots) {
+    if (slot.tracer == id_) return *slot.buffer;
   }
-  return *tls;
+  auto buf = std::make_shared<ThreadBuffer>();
+  {
+    const std::lock_guard<std::mutex> lock(registryMutex_);
+    buf->tid = nextTid_++;
+    buffers_.push_back(buf);
+  }
+  slots.push_back({id_, buf.get()});
+  return *buf;
 }
 
 void Tracer::record(std::string category, std::string name,
@@ -88,8 +105,8 @@ void Tracer::record(std::string category, std::string name,
   ThreadBuffer& buf = buffer();
   const std::lock_guard<std::mutex> lock(buf.mutex);
   event.tid = track >= 0 ? static_cast<std::uint64_t>(track) : buf.tid;
-  if (buf.events.size() >= kMaxEventsPerBuffer) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  if (buf.events.size() >= maxEventsPerBuffer_) {
+    dropped_.add();
     return;
   }
   buf.events.push_back(std::move(event));
@@ -106,7 +123,6 @@ std::string Tracer::drainJson() {
       buf->events.clear();
     }
   }
-  dropped_.store(0, std::memory_order_relaxed);
 
   std::ostringstream out;
   out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";

@@ -5,10 +5,15 @@
 ///
 /// Disabled by default: the only cost on an untraced process is one
 /// relaxed atomic load per span. When enabled (`--trace-out` in the CLIs),
-/// each thread appends completed spans to its own buffer under a
-/// per-buffer mutex — threads never contend with each other, only with a
-/// drain in progress. `drainJson()` moves all buffered events out and
-/// renders the JSON document.
+/// each thread appends completed spans to its own buffer (one per thread
+/// and tracer) under a per-buffer mutex — threads never contend with each
+/// other, only with a drain in progress. `drainJson()` moves all buffered
+/// events out and renders the JSON document.
+///
+/// A thread buffer holds at most `maxEventsPerBuffer` events; past that,
+/// events are dropped and counted in the monotonic
+/// `mcmcpar_trace_events_dropped_total` counter of `Registry::global()`,
+/// so a METRICS scrape shows that a timeline is incomplete.
 ///
 /// Spans on one thread nest naturally (same `tid`, contained intervals).
 /// Work whose lifetime is observed from a polling loop rather than a call
@@ -25,6 +30,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace mcmcpar::obs {
 
 /// JSON string escaping (quotes, backslashes, control characters as
@@ -38,7 +45,12 @@ class Tracer {
  public:
   using Clock = std::chrono::steady_clock;
 
-  Tracer();
+  static constexpr std::size_t kDefaultMaxEventsPerBuffer = 1u << 20;
+
+  /// Drops are counted in the process registry's
+  /// `mcmcpar_trace_events_dropped_total`, which every tracer shares. A
+  /// smaller `maxEventsPerBuffer` lets tests overflow a buffer cheaply.
+  explicit Tracer(std::size_t maxEventsPerBuffer = kDefaultMaxEventsPerBuffer);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
@@ -64,10 +76,10 @@ class Tracer {
   /// Drains to `path`; returns false (with `error` set) on I/O failure.
   bool writeJson(const std::string& path, std::string* error = nullptr);
 
-  /// Events dropped because a thread buffer hit its cap (drain resets it).
-  std::uint64_t dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  /// Events dropped because a thread buffer hit its cap, by every tracer
+  /// in the process: the registry's monotonic counter (drains do not reset
+  /// it).
+  std::uint64_t dropped() const noexcept { return dropped_.value(); }
 
  private:
   struct Event {
@@ -83,12 +95,13 @@ class Tracer {
     std::vector<Event> events;
     std::uint64_t tid = 0;
   };
-  static constexpr std::size_t kMaxEventsPerBuffer = 1u << 20;
-
   ThreadBuffer& buffer();
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> dropped_{0};
+  Counter& dropped_;
+  std::size_t maxEventsPerBuffer_;
+  static inline std::atomic<std::uint64_t> nextId_{1};
+  std::uint64_t id_;
   Clock::time_point epoch_;
   std::mutex registryMutex_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;

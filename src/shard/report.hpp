@@ -19,7 +19,10 @@ struct TileRun {
   TileSpec spec;
   std::string label;             ///< "tile-<ix>x<iy>"
   std::uint64_t iterations = 0;  ///< chain iterations spent on this tile
-  double wallSeconds = 0.0;      ///< tile latency (queueing included)
+  /// The tile's sampler wall time: the inner RunReport.wallSeconds, which
+  /// both backends copy (the socket backend from the remote REPORT). It
+  /// excludes queue wait, state build and transfer.
+  double wallSeconds = 0.0;
   double acceptanceRate = 0.0;
   double logPosterior = 0.0;  ///< of the tile-local model (not comparable
                               ///< across tiles; the merged value lives in

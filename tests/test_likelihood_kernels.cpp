@@ -1,12 +1,13 @@
 // Property suite for the span-based likelihood hot path (see
 // src/model/likelihood_kernels.hpp for the determinism policy these tests
 // enforce): delta/apply consistency is bit-exact, the scalar and AVX2
-// backends are bit-identical, resynchronise bit-matches the from-scratch
-// reference, and the uint16 coverage guard rails (clamp at 0, saturate at
-// 65535) hold.
+// backends and the inline short-span path are bit-identical, resynchronise
+// bit-matches the from-scratch reference, and the uint16 coverage guard
+// rails (clamp at 0, saturate at 65535) hold.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -67,6 +68,18 @@ RandomSpan randomSpan(rng::Stream& s, std::size_t n) {
   return out;
 }
 
+/// Gains whose double sums round: values near 1 mixed with values 2^30 to
+/// 2^32 times smaller. Sums of floats within a 2^29 range are exact in
+/// double whatever their order, which would hide a lane or combine-order
+/// slip; with this mix a reordered sum changes the bits about one time in
+/// six.
+float roundingGain(rng::Stream& s) {
+  const int exponent =
+      s.uniform() < 0.5 ? 0 : -30 - static_cast<int>(s.below(3));
+  const double magnitude = (1.0 + s.uniform()) * std::ldexp(1.0, exponent);
+  return static_cast<float>(s.uniform() < 0.5 ? -magnitude : magnitude);
+}
+
 TEST(LikelihoodKernels, ScalarMatchesDocumentedLaneSemantics) {
   BackendGuard guard;
   ASSERT_TRUE(k::setBackend(k::Backend::Scalar));
@@ -111,6 +124,64 @@ TEST(LikelihoodKernels, Avx2BitMatchesScalarOnRandomSpans) {
     EXPECT_EQ(applyRemS,
               k::spanApplyRemove(span.gain.data(), covApplyV.data(), n));
     EXPECT_EQ(covApplyS, covApplyV);
+  }
+}
+
+TEST(LikelihoodKernels, Avx2TransitionDeltaBitMatchesScalar) {
+  if (!k::avx2Available()) {
+    GTEST_SKIP() << "AVX2 kernels not compiled in or CPU lacks AVX2";
+  }
+  BackendGuard guard;
+  rng::Stream s(203);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = s.below(71);
+    std::vector<float> gain(n);
+    std::vector<std::uint16_t> cov(n);
+    std::vector<std::int16_t> dOld(n);
+    std::vector<std::int16_t> dNew(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      gain[i] = roundingGain(s);
+      // Mostly small counts, where transitions happen, plus counts near the
+      // top of the uint16 range that only a 32-bit widening gets right.
+      const double u = s.uniform();
+      cov[i] = u < 0.3   ? 0
+               : u < 0.6 ? 1
+               : u < 0.85
+                   ? static_cast<std::uint16_t>(s.below(4) + 2)
+                   : static_cast<std::uint16_t>(65535 - s.below(4));
+      dOld[i] = static_cast<std::int16_t>(s.below(4));
+      dNew[i] = static_cast<std::int16_t>(s.below(4));
+    }
+
+    ASSERT_TRUE(k::setBackend(k::Backend::Scalar));
+    const double scalar = k::spanTransitionDelta(
+        gain.data(), cov.data(), dOld.data(), dNew.data(), n);
+    ASSERT_TRUE(k::setBackend(k::Backend::Avx2));
+    EXPECT_EQ(scalar, k::spanTransitionDelta(gain.data(), cov.data(),
+                                             dOld.data(), dNew.data(), n))
+        << "trial " << trial << ", n " << n;
+  }
+}
+
+TEST(LikelihoodKernels, ShortSpanPathBitMatchesKernels) {
+  BackendGuard guard;
+  rng::Stream s(204);
+  for (k::Backend b : {k::Backend::Scalar, k::Backend::Avx2}) {
+    if (b == k::Backend::Avx2 && !k::avx2Available()) continue;
+    ASSERT_TRUE(k::setBackend(b));
+    for (int trial = 0; trial < 50; ++trial) {
+      for (std::size_t n = 0; n < k::kLanes; ++n) {
+        RandomSpan span = randomSpan(s, n);
+        for (float& g : span.gain) g = roundingGain(s);
+        EXPECT_EQ(k::shortSpanDeltaAdd(span.gain.data(), span.cov.data(), n),
+                  k::spanDeltaAdd(span.gain.data(), span.cov.data(), n))
+            << k::backendName() << ", n " << n;
+        EXPECT_EQ(
+            k::shortSpanDeltaRemove(span.gain.data(), span.cov.data(), n),
+            k::spanDeltaRemove(span.gain.data(), span.cov.data(), n))
+            << k::backendName() << ", n " << n;
+      }
+    }
   }
 }
 

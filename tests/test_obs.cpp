@@ -2,7 +2,8 @@
 // histogram bucket semantics, concurrent-increment exactness (the TSan CI
 // job runs this binary), snapshot consistency, Prometheus exposition
 // goldens, the naming-scheme gate, Chrome trace JSON shape and span
-// nesting, and the socket METRICS round trip against a live server.
+// nesting, and the socket METRICS round trip against a live server
+// (including the tracer's drop counter).
 
 #include <gtest/gtest.h>
 
@@ -363,6 +364,26 @@ TEST(Trace, EscapesJsonStrings) {
   EXPECT_NE(json.find("line\\nbreak"), std::string::npos) << json;
 }
 
+TEST(Trace, TracersKeepSeparateThreadBuffers) {
+  Tracer& global = Tracer::global();
+  global.setEnabled(true);
+  (void)global.drainJson();
+  Tracer local;
+  local.setEnabled(true);
+  const auto start = Tracer::Clock::now();
+  // Same thread, global tracer first: the local tracer must still get a
+  // buffer of its own rather than writing into the global one's.
+  global.record("test", "global-event", start, start);
+  local.record("test", "local-event", start, start);
+  global.setEnabled(false);
+  const std::string localJson = local.drainJson();
+  const std::string globalJson = global.drainJson();
+  EXPECT_NE(localJson.find("local-event"), std::string::npos) << localJson;
+  EXPECT_EQ(localJson.find("global-event"), std::string::npos) << localJson;
+  EXPECT_NE(globalJson.find("global-event"), std::string::npos) << globalJson;
+  EXPECT_EQ(globalJson.find("local-event"), std::string::npos) << globalJson;
+}
+
 }  // namespace
 }  // namespace mcmcpar::obs
 
@@ -445,6 +466,37 @@ TEST(SocketMetrics, ExposesThePrometheusFamiliesEndToEnd) {
                                 "command=\"PING\"}"),
             sampleValue(first, "mcmcpar_serve_commands_total{"
                                "command=\"PING\"}"));
+  server.shutdown(10.0);
+}
+
+TEST(SocketMetrics, TraceDropsAreAMonotonicCounterInTheExposition) {
+  ServerOptions options;
+  options.threads = 2;
+  Server server(options);
+  SocketFrontend frontend(server, /*port=*/0);
+  Client client;
+  client.connect("127.0.0.1", frontend.port(), 30.0);
+
+  // Every tracer shares the drop counter the server's METRICS renders; a
+  // 4-event buffer overflows without a million spans.
+  obs::Tracer tracer(/*maxEventsPerBuffer=*/4);
+  const std::string key = "mcmcpar_trace_events_dropped_total";
+  const double before = sampleValue(client.metrics(), key);
+  ASSERT_GE(before, 0.0) << "counter missing from the exposition";
+
+  tracer.setEnabled(true);
+  const auto start = obs::Tracer::Clock::now();
+  for (int i = 0; i < 7; ++i) tracer.record("test", "overflow", start, start);
+  EXPECT_EQ(sampleValue(client.metrics(), key), before + 3.0);
+  EXPECT_EQ(tracer.dropped(), static_cast<std::uint64_t>(before) + 3u);
+
+  // Draining empties the buffer but leaves the counter alone; the refilled
+  // buffer overflows again and the count keeps climbing.
+  (void)tracer.drainJson();
+  EXPECT_EQ(sampleValue(client.metrics(), key), before + 3.0);
+  for (int i = 0; i < 5; ++i) tracer.record("test", "refill", start, start);
+  EXPECT_EQ(sampleValue(client.metrics(), key), before + 4.0);
+  tracer.setEnabled(false);
   server.shutdown(10.0);
 }
 
