@@ -7,8 +7,10 @@
 //   --runs=N        repetition count where averaging applies
 //   --seed=N        master seed
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -25,17 +27,34 @@ struct Options {
   std::uint64_t seed = 1;
 };
 
-inline Options parseOptions(int argc, char** argv) {
+/// Parses the shared options. An unknown option or a malformed number
+/// prints usage and exits 2 rather than running the default workload;
+/// `extraUsage` names the options the calling bench strips off first.
+inline Options parseOptions(int argc, char** argv,
+                            const char* extraUsage = "") {
+  const auto fail = [&](const char* what, const char* arg) {
+    std::fprintf(stderr, "%s: %s\nusage: %s %s%s\n", what, arg, argv[0],
+                 "[--paper-scale] [--runs=N] [--seed=N]", extraUsage);
+    std::exit(2);
+  };
+  // The whole text after '=' must be a decimal that fits `value`.
+  const auto number = [&](const char* arg, auto& value) {
+    const char* first = std::strchr(arg, '=') + 1;
+    const char* last = first + std::strlen(first);
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || end != last) fail("bad number", arg);
+  };
   Options opt;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--paper-scale") == 0) {
       opt.paperScale = true;
     } else if (std::strncmp(argv[i], "--runs=", 7) == 0) {
-      opt.runs = std::atoi(argv[i] + 7);
+      number(argv[i], opt.runs);
+      if (opt.runs < 0) fail("bad number", argv[i]);
     } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(argv[i] + 7));
+      number(argv[i], opt.seed);
     } else {
-      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+      fail("unknown option", argv[i]);
     }
   }
   return opt;

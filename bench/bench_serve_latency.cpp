@@ -1,10 +1,11 @@
 // SERVE — measure what the persistent front-end buys over one-shot
 // execution: per-request latency against a warm serve::Server (resident
 // PoolBudget, cached image decode) versus cold-start baselines that pay
-// the full setup per request — a fresh mcmcpar_run process when the binary
-// is reachable, and an in-process image-reload + engine rebuild otherwise.
-// Also drives a concurrent burst through the server for sustained
-// throughput. Emits BENCH_serve.json (the artifact CI uploads).
+// the full setup per request: an in-process image reload + engine rebuild,
+// and a fresh mcmcpar_run process when the binary is reachable. This is the
+// one place the repo times a fresh process; sustained serve throughput is
+// perfbench's serve-mix workload (jobs_per_s, slo_rps).
+// Emits BENCH_serve.json.
 //
 //   bench_serve_latency [--runs=N] [--seed=N] [--paper-scale]
 //                       [--out=FILE] [--run-bin=PATH]
@@ -77,7 +78,8 @@ int main(int argc, char** argv) {
     }
   }
   const bench::Options opt = bench::parseOptions(
-      static_cast<int>(passthrough.size()), passthrough.data());
+      static_cast<int>(passthrough.size()), passthrough.data(),
+      " [--out=FILE] [--run-bin=PATH]");
   const int requests = opt.runs > 0 ? opt.runs : (opt.paperScale ? 24 : 12);
   const int size = opt.paperScale ? 384 : 160;
   const int cells = opt.paperScale ? 40 : 8;
@@ -144,22 +146,8 @@ int main(int argc, char** argv) {
     allOk &= runOnServer(jobLine);
     warm.push_back(timer.seconds());
   }
-  printMode("warm-server", warm);
-
-  // --- warm burst: concurrent submissions for sustained throughput -------
-  const int burst = requests * 2;
-  std::vector<std::uint64_t> burstIds;
-  const par::WallTimer burstTimer;
-  for (int i = 0; i < burst; ++i) {
-    burstIds.push_back(server.submitLine(jobLine));
-  }
-  for (const std::uint64_t id : burstIds) awaitJob(id);
-  const double burstSeconds = burstTimer.seconds();
   server.unsubscribe(token);
-  const double sustained =
-      burstSeconds > 0.0 ? static_cast<double>(burst) / burstSeconds : 0.0;
-  std::printf("  %-14s %3d requests in %.3f s: %.2f jobs/s sustained\n",
-              "warm-burst", burst, burstSeconds, sustained);
+  printMode("warm-server", warm);
 
   // --- cold in-process: re-read the image and rebuild per request --------
   std::vector<double> coldReload;
@@ -211,8 +199,9 @@ int main(int argc, char** argv) {
   const double warmP50 = percentile(warm, 0.50);
   const double coldP50 = percentile(
       coldProcess.empty() ? coldReload : coldProcess, 0.50);
-  std::printf("warm p50 %.3f ms vs cold-start p50 %.3f ms: %s\n",
-              1e3 * warmP50, 1e3 * coldP50,
+  std::printf("warm p50 %.3f ms vs %s p50 %.3f ms: %s\n", 1e3 * warmP50,
+              coldProcess.empty() ? "cold-reload" : "cold-process",
+              1e3 * coldP50,
               warmP50 < coldP50 ? "warm wins" : "WARM DID NOT WIN");
 
   std::ofstream out(outPath);
@@ -225,8 +214,6 @@ int main(int argc, char** argv) {
   jsonMode(out, "cold_reload", coldReload, coldProcess.empty());
   if (!coldProcess.empty()) jsonMode(out, "cold_process", coldProcess, true);
   out << "  },\n"
-      << "  \"sustained_jobs_per_second\": " << sustained << ",\n"
-      << "  \"burst_requests\": " << burst << ",\n"
       << "  \"cache_hits\": " << stats.cache.hits << ",\n"
       << "  \"cache_misses\": " << stats.cache.misses << ",\n"
       << "  \"warm_beats_cold_start\": "

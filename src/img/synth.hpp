@@ -78,8 +78,9 @@ struct Scene {
 [[nodiscard]] SceneSpec beadsScene(std::uint64_t seed);
 
 /// Parameters of the synthetic drifting-circles sequence (the microscopy
-/// time-lapse stand-in shared by the stream tests, tools/stream_smoke.sh
-/// and bench_stream, instead of checked-in binaries).
+/// time-lapse stand-in shared by the stream tests, the server's synthetic
+/// sequences, mcmcpar_run/mcmcpar_submit and perfbench's serve-mix,
+/// instead of checked-in binaries).
 struct DriftSpec {
   SceneSpec scene;   ///< frame-0 layout and per-frame rendering knobs
   int frames = 8;

@@ -272,12 +272,14 @@ TEST(BatchRunner, SpareBudgetFlowsToRunningJobsInternalWorkers) {
 // ---------------------------------------------------------------------------
 
 TEST(BatchRunner, ConcurrentJobsStressIsCleanAndComplete) {
+  // Two jobs of every registered strategy in flight at once on one shared
+  // 4-thread budget, so a new strategy gets concurrency coverage for free.
   const img::Scene scene = tinyScene(40);
   const Problem problem = tinyProblem(scene);
-  const std::vector<std::string> names = {"serial", "speculative", "mc3",
-                                          "periodic"};
+  const std::vector<std::string> names = StrategyRegistry::builtin().names();
+  ASSERT_GE(names.size(), 7u);
   std::vector<BatchJob> jobs;
-  for (int i = 0; i < 12; ++i) {
+  for (std::size_t i = 0; i < 2 * names.size(); ++i) {
     BatchJob job = makeJob(problem, names[i % names.size()], 500);
     if (job.strategy == "speculative") job.options = {"lanes=3"};
     jobs.push_back(std::move(job));
@@ -297,9 +299,13 @@ TEST(BatchRunner, ConcurrentJobsStressIsCleanAndComplete) {
   EXPECT_EQ(result.batch.completed, jobs.size());
   EXPECT_EQ(doneJobs.load(), jobs.size());
   EXPECT_GT(progressBeats.load(), 0u);
-  for (const RunReport& report : result.reports) {
-    EXPECT_GT(report.iterations, 0u);
-    EXPECT_TRUE(std::isfinite(report.logPosterior));
+  ASSERT_EQ(result.reports.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const RunReport& report = result.reports[i];
+    EXPECT_EQ(report.strategy, jobs[i].strategy) << i;
+    EXPECT_FALSE(report.cancelled) << report.strategy;
+    EXPECT_GT(report.iterations, 0u) << report.strategy;
+    EXPECT_TRUE(std::isfinite(report.logPosterior)) << report.strategy;
   }
 }
 

@@ -1,17 +1,23 @@
 #!/usr/bin/env bash
 # Verify that every local markdown link in README.md and docs/*.md points at
 # a file that exists, so docs cross-references cannot rot. External (http)
-# links and pure #anchors are skipped. Then check that every markdown file
-# cited from the code trees (src/ bench/ tools/ tests/: comments, docstrings
-# and help text) exists: a citation resolves when some tracked .md file has
-# that basename. Run from the repository root.
+# links and pure #anchors are skipped. Then check that every backticked repo
+# path in those docs and in .claude/skills/*/SKILL.md (inline spans and
+# fenced blocks) exists, and that every markdown file cited from the code
+# trees (src/ bench/ tools/ tests/: comments, docstrings and help text)
+# exists: a citation resolves when some tracked .md file has that basename.
+# Run from the repository root.
 #
-# usage: check_doc_links.sh [FILE ...]   (default: README.md docs/*.md)
+# usage: check_doc_links.sh [FILE ...]
+#        (default: README.md docs/*.md .claude/skills/*/SKILL.md)
 set -euo pipefail
 
 FILES=("$@")
 if [[ ${#FILES[@]} -eq 0 ]]; then
   FILES=(README.md docs/*.md)
+  for skill in .claude/skills/*/SKILL.md; do
+    if [[ -e "$skill" ]]; then FILES+=("$skill"); fi
+  done
 fi
 
 fail=0
@@ -32,6 +38,36 @@ for file in "${FILES[@]}"; do
     fi
   done < <(grep -oE '\]\([^)]+\)' "$file" | sed -E 's/^\]\(//; s/\)$//')
 done
+
+# Backticked repo paths: a token under bench/ tools/ tests/ src/ examples/
+# or perfbench/ (optionally behind ./ or a build/ tree, so
+# `build/bench/bench_micro` names bench/bench_micro) resolves when it names
+# an existing file or directory, or one once an extension is added
+# (`bench/bench_micro` -> bench_micro.cpp). A glob (`tests/test_*.cpp`) must
+# match at least one file. A trailing :line suffix is ignored.
+while IFS=$'\t' read -r file token; do
+  [[ -z "$token" ]] && continue
+  path=${token#./}
+  path=${path#build/}
+  if [[ "$path" == *[*?]* ]]; then
+    compgen -G "$path" >/dev/null && continue
+  elif [[ -e "$path" ]] || compgen -G "$path.*" >/dev/null; then
+    continue
+  fi
+  echo "BROKEN: $file cites \`$token\` (no such repo path)"
+  fail=1
+done < <(perl -0777 -ne '
+  my $text = $_;
+  my @code;
+  push @code, $1 while $text =~ s/^```[^\n]*\n(.*?)^```[^\n]*$//ms;
+  push @code, $1 while $text =~ /`([^`]+)`/g;
+  for my $code (@code) {
+    while ($code =~ m{(?<![\w./-])((?:\./)?(?:build/)?
+                      (?:bench|tools|tests|src|examples|perfbench)/
+                      [\w.*?/+-]*)}gx) {
+      print "$ARGV\t", $1 =~ s/\.+$//r, "\n";
+    }
+  }' "${FILES[@]}" | sort -u)
 
 # Code-tree citations. Outside a git checkout, fall back to every .md file
 # on disk (build trees excluded).
@@ -60,4 +96,5 @@ if [[ $fail -ne 0 ]]; then
   echo "docs link check failed"
   exit 1
 fi
-echo "docs link check OK (${FILES[*]}; code-tree .md citations)"
+echo "docs link check OK (${FILES[*]}; backticked repo paths;" \
+  "code-tree .md citations)"
