@@ -16,14 +16,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,32 +108,21 @@ int main(int argc, char** argv) {
   serverOptions.defaultBudget = engine::RunBudget{iterations, 0};
   serve::Server server(serverOptions);
 
-  // Event-driven completion (no status polling), so the measured latency
-  // is the server's, not the poll interval's.
-  std::mutex doneMutex;
-  std::condition_variable doneReady;
-  std::set<std::uint64_t> terminalIds;
-  const std::uint64_t token =
-      server.subscribe([&](const serve::JobEvent& event) {
-        if (event.type == serve::JobEvent::Type::Done ||
-            event.type == serve::JobEvent::Type::Failed ||
-            event.type == serve::JobEvent::Type::Cancelled) {
-          {
-            const std::scoped_lock lock(doneMutex);
-            terminalIds.insert(event.id);
-          }
-          doneReady.notify_all();
-        }
-      });
-  const auto awaitJob = [&](std::uint64_t id) {
-    std::unique_lock lock(doneMutex);
-    doneReady.wait(lock, [&] { return terminalIds.count(id) != 0; });
-  };
+  // Event-driven completion (no status polling): block on the job's event
+  // log until its terminal event, so the measured latency is the server's,
+  // not a poll interval's.
   const auto runOnServer = [&](const std::string& line) {
     const std::uint64_t id = server.submitLine(line);
-    awaitJob(id);
-    const auto status = server.status(id);
-    return status && status->state == serve::JobState::Done;
+    std::uint64_t afterSeq = 0;
+    while (true) {
+      const auto batch = server.events(id, afterSeq, std::chrono::seconds(1));
+      if (!batch) return false;  // pruned: cannot happen at this volume
+      if (batch->empty()) continue;
+      afterSeq = batch->back().seq;
+      if (const auto state = serve::terminalState(batch->back().type)) {
+        return *state == serve::JobState::Done;
+      }
+    }
   };
   (void)runOnServer(jobLine);  // warm-up: decode into the cache
 
@@ -146,7 +133,6 @@ int main(int argc, char** argv) {
     allOk &= runOnServer(jobLine);
     warm.push_back(timer.seconds());
   }
-  server.unsubscribe(token);
   printMode("warm-server", warm);
 
   // --- cold in-process: re-read the image and rebuild per request --------

@@ -1,6 +1,8 @@
 #include "engine/options.hpp"
 
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 
 namespace mcmcpar::engine {
 
@@ -13,6 +15,55 @@ namespace {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parseU64(std::string_view text) noexcept {
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> parseDouble(std::string_view text) noexcept {
+  double value = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || ptr != text.data() + text.size() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::uint64_t flagU64(std::string_view flag, std::string_view text,
+                      std::uint64_t min, std::uint64_t max) {
+  const std::optional<std::uint64_t> value = parseU64(text);
+  if (!value || *value < min || *value > max) {
+    const bool bounded =
+        min != 0 || max != std::numeric_limits<std::uint64_t>::max();
+    throw EngineError(std::string(flag) + ": expected an unsigned integer" +
+                      (bounded ? " in [" + std::to_string(min) + ", " +
+                                     std::to_string(max) + "]"
+                               : std::string()) +
+                      ", got '" + std::string(text) + "'");
+  }
+  return *value;
+}
+
+double flagDouble(std::string_view flag, std::string_view text, double min) {
+  const std::optional<double> value = parseDouble(text);
+  if (!value || *value < min) {
+    char bound[48] = "";
+    if (min > std::numeric_limits<double>::lowest()) {
+      std::snprintf(bound, sizeof(bound), " >= %g", min);
+    }
+    throw EngineError(std::string(flag) + ": expected a finite number" +
+                      bound + ", got '" + std::string(text) + "'");
+  }
+  return *value;
+}
 
 OptionMap OptionMap::parse(const std::vector<std::string>& pairs) {
   OptionMap map;
@@ -58,14 +109,9 @@ std::uint64_t OptionMap::u64(const std::string& key,
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   consumed_[key] = true;
-  std::uint64_t value = 0;
-  const std::string& text = it->second;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    badValue(key, text, "an unsigned integer");
-  }
-  return value;
+  const std::optional<std::uint64_t> value = parseU64(it->second);
+  if (!value) badValue(key, it->second, "an unsigned integer");
+  return *value;
 }
 
 unsigned OptionMap::uns(const std::string& key, unsigned fallback) const {
@@ -80,17 +126,9 @@ double OptionMap::dbl(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   consumed_[key] = true;
-  const std::string& text = it->second;
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) badValue(key, text, "a number");
-    return value;
-  } catch (const EngineError&) {
-    throw;
-  } catch (const std::exception&) {
-    badValue(key, text, "a number");
-  }
+  const std::optional<double> value = parseDouble(it->second);
+  if (!value) badValue(key, it->second, "a number");
+  return *value;
 }
 
 bool OptionMap::flag(const std::string& key, bool fallback) const {

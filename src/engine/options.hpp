@@ -1,9 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mcmcpar::engine {
@@ -15,6 +18,24 @@ class EngineError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Strict number parsing: the one parser behind OptionMap, socket job ids
+/// and every command-line flag. The whole of `text` must convert — no
+/// sign on an unsigned, no whitespace, no trailing bytes, no overflow, and
+/// a double must be finite. nullopt otherwise.
+[[nodiscard]] std::optional<std::uint64_t> parseU64(
+    std::string_view text) noexcept;
+[[nodiscard]] std::optional<double> parseDouble(std::string_view text) noexcept;
+
+/// The same for the value of a command-line flag: throws EngineError
+/// "<flag>: expected ..., got '<text>'" when `text` does not parse or lies
+/// outside [min, max].
+[[nodiscard]] std::uint64_t flagU64(
+    std::string_view flag, std::string_view text, std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+[[nodiscard]] double flagDouble(
+    std::string_view flag, std::string_view text,
+    double min = std::numeric_limits<double>::lowest());
 
 /// Strategy options parsed from `key=value` strings (the registry's uniform
 /// configuration channel: CLI flags, config files and server requests all

@@ -28,6 +28,39 @@ bool isTerminal(JobState state) noexcept {
          state == JobState::Cancelled;
 }
 
+const char* toString(JobEvent::Type type) noexcept {
+  switch (type) {
+    case JobEvent::Type::Admitted:
+      return "ADMITTED";
+    case JobEvent::Type::Started:
+      return "STARTED";
+    case JobEvent::Type::Progress:
+      return "PROGRESS";
+    case JobEvent::Type::Frame:
+      return "FRAME";
+    case JobEvent::Type::Done:
+      return "DONE";
+    case JobEvent::Type::Failed:
+      return "FAILED";
+    case JobEvent::Type::Cancelled:
+      return "CANCELLED";
+  }
+  return "UNKNOWN";
+}
+
+std::optional<JobState> terminalState(JobEvent::Type type) noexcept {
+  switch (type) {
+    case JobEvent::Type::Done:
+      return JobState::Done;
+    case JobEvent::Type::Failed:
+      return JobState::Failed;
+    case JobEvent::Type::Cancelled:
+      return JobState::Cancelled;
+    default:
+      return std::nullopt;
+  }
+}
+
 JobQueue::JobQueue(std::size_t retainLimit, std::size_t maxQueued)
     : retainLimit_(retainLimit), maxQueued_(maxQueued) {}
 
@@ -60,7 +93,8 @@ std::uint64_t JobQueue::submit(JobSpec spec, double predictedCostSeconds) {
     ++stats.queued;
     stats.costQueued += record.predictedCostSeconds;
     record.spec = std::move(spec);
-    records_.emplace(id, std::move(record));
+    logLocked(id, records_.emplace(id, std::move(record)).first->second,
+              JobEvent::Type::Admitted);
     ++counts_.submitted;
     ++counts_.queued;
   }
@@ -119,6 +153,7 @@ CancelOutcome JobQueue::cancel(std::uint64_t id) {
                                     record.admitted)
           .count();
   record.queueSeconds = record.latencySeconds;
+  logLocked(id, record, JobEvent::Type::Cancelled);
   --counts_.queued;
   ++counts_.cancelled;
   terminal_.push_back(id);
@@ -139,36 +174,50 @@ void JobQueue::progress(std::uint64_t id, std::uint64_t done,
   const std::scoped_lock lock(mutex_);
   const auto it = records_.find(id);
   if (it == records_.end()) return;
-  it->second.progressDone = done;
-  it->second.progressTotal = total;
+  Record& record = it->second;
+  record.progressDone = done;
+  record.progressTotal = total;
+  const int decile =
+      total == 0 ? -1 : static_cast<int>(10 * done / total);
+  if (decile == record.lastDecile) return;
+  record.lastDecile = decile;
+  logLocked(id, record, JobEvent::Type::Progress, done, total);
 }
 
-std::uint64_t JobQueue::nextEventSeq(std::uint64_t id) {
-  const std::scoped_lock lock(mutex_);
-  const auto it = records_.find(id);
-  if (it == records_.end()) return 0;
-  return ++it->second.eventSeq;
-}
-
-void JobQueue::recordFrame(std::uint64_t id, FrameMark mark) {
-  // A glob sequence can name arbitrarily many frames; keep only the most
-  // recent window so retained records stay small.
-  constexpr std::size_t kMaxFrameMarks = 4096;
+void JobQueue::append(std::uint64_t id, JobEvent::Type type,
+                      std::uint64_t done, std::uint64_t total) {
+  if (type != JobEvent::Type::Started && type != JobEvent::Type::Frame) {
+    return;
+  }
   const std::scoped_lock lock(mutex_);
   const auto it = records_.find(id);
   if (it == records_.end()) return;
-  std::vector<FrameMark>& marks = it->second.frameMarks;
-  if (marks.size() >= kMaxFrameMarks) {
-    marks.erase(marks.begin());
+  Record& record = it->second;
+  if (type == JobEvent::Type::Frame) {
+    record.progressDone = done + 1;
+    record.progressTotal = total;
   }
-  marks.push_back(mark);
+  logLocked(id, record, type, done, total);
 }
 
-std::vector<FrameMark> JobQueue::frameHistory(std::uint64_t id) const {
-  const std::scoped_lock lock(mutex_);
-  const auto it = records_.find(id);
-  if (it == records_.end()) return {};
-  return it->second.frameMarks;
+std::optional<std::vector<JobEvent>> JobQueue::events(
+    std::uint64_t id, std::uint64_t afterSeq,
+    std::chrono::milliseconds timeout) const {
+  std::unique_lock lock(mutex_);
+  // The predicate looks the record up afresh on every check, since it may
+  // be pruned while we wait; its last evaluation holds when wait_for returns.
+  const Record* record = nullptr;
+  logged_.wait_for(lock, timeout, [&] {
+    const auto it = records_.find(id);
+    record = it == records_.end() ? nullptr : &it->second;
+    return record == nullptr || record->events.back().seq > afterSeq;
+  });
+  if (record == nullptr) return std::nullopt;
+  const std::deque<JobEvent>& log = record->events;
+  const auto first = std::partition_point(
+      log.begin(), log.end(),
+      [&](const JobEvent& event) { return event.seq <= afterSeq; });
+  return std::vector<JobEvent>(first, log.end());
 }
 
 void JobQueue::finish(std::uint64_t id, engine::RunReport report,
@@ -196,6 +245,11 @@ void JobQueue::finish(std::uint64_t id, engine::RunReport report,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       record.admitted)
             .count();
+    logLocked(id, record, record.state == JobState::Done
+                              ? JobEvent::Type::Done
+                          : record.state == JobState::Failed
+                              ? JobEvent::Type::Failed
+                              : JobEvent::Type::Cancelled);
     terminal_.push_back(id);
     pruneLocked();
   }
@@ -308,6 +362,17 @@ bool JobQueue::waitIdle(double timeoutSeconds) {
   return idle_.wait_until(lock, deadline, [this] {
     return counts_.queued == 0 && counts_.running == 0;
   });
+}
+
+void JobQueue::logLocked(std::uint64_t id, Record& record,
+                         JobEvent::Type type, std::uint64_t done,
+                         std::uint64_t total) {
+  // ADMITTED is logged at admission, so only it sees an empty log.
+  const std::uint64_t seq =
+      record.events.empty() ? 1 : record.events.back().seq + 1;
+  if (record.events.size() >= kMaxEvents) record.events.pop_front();
+  record.events.push_back(JobEvent{type, id, done, total, seq});
+  logged_.notify_all();
 }
 
 void JobQueue::pruneLocked() {

@@ -79,17 +79,29 @@ struct ClientStats {
   double costServed = 0.0;         ///< predicted seconds dispatched
 };
 
-/// One retained FRAME event of a streaming job: enough to replay the
-/// `EVENT <id> FRAME frame=<k>/<n> seq=<s>` line to a subscriber that
-/// attached after the frame finished (a fast first frame can complete
-/// before the submitting client's WAIT reaches the server).
-struct FrameMark {
-  std::uint64_t frame = 0;  ///< 0-based index of the finished frame
-  std::uint64_t total = 0;  ///< frames in the sequence
-  std::uint64_t seq = 0;    ///< the event's per-job sequence number
+/// One event of a job's log, as WAIT streams it (docs/PROTOCOL.md §Events).
+struct JobEvent {
+  enum class Type { Admitted, Started, Progress, Frame, Done, Failed,
+                    Cancelled };
+  Type type = Type::Admitted;
+  std::uint64_t id = 0;
+  std::uint64_t done = 0;   ///< Progress: iterations done.
+                            ///< Frame: 0-based index of the finished frame.
+  std::uint64_t total = 0;  ///< Progress: iteration budget.
+                            ///< Frame: frames in the sequence.
+  /// The event's position in its job's log, from 1 (ADMITTED). A replay
+  /// from the start of the log therefore numbers 1..n without gaps.
+  std::uint64_t seq = 0;
 };
 
-/// What JobQueue::cancel found, so the caller can emit the right event.
+[[nodiscard]] const char* toString(JobEvent::Type type) noexcept;
+
+/// The terminal state a Done/Failed/Cancelled event reports (nullopt for
+/// the other types).
+[[nodiscard]] std::optional<JobState> terminalState(
+    JobEvent::Type type) noexcept;
+
+/// What JobQueue::cancel found, so CANCEL can answer which case it was.
 enum class CancelOutcome {
   Unknown,          ///< no such job
   AlreadyTerminal,  ///< nothing to do
@@ -102,6 +114,13 @@ enum class CancelOutcome {
 /// (DeficitScheduler over per-client buckets; one bucket degenerates to
 /// FIFO), observers read status snapshots by id. All methods are
 /// thread-safe.
+///
+/// Each record keeps its job's event log. Every event is appended under the
+/// queue mutex by the method that makes the state change it reports —
+/// ADMITTED by submit, CANCELLED by cancel of a queued job, the terminal
+/// event by finish, decile PROGRESS by progress, STARTED and FRAME by
+/// append — so a terminal status() implies the log already ends with its
+/// terminal event, and an event's seq is its position in the log.
 ///
 /// Terminal records are retained for RESULT queries, capped at
 /// `retainLimit` (oldest forgotten first) so a long-running server does not
@@ -142,21 +161,31 @@ class JobQueue {
   /// hard via cancelAll).
   [[nodiscard]] bool cancelRequested(std::uint64_t id) const;
 
-  /// Record a progress beat of a running job.
+  /// Record a progress beat of a running job. Every beat updates STATUS;
+  /// a PROGRESS event is logged only when the decile changes, so hot
+  /// strategies log at most 11 of them.
   void progress(std::uint64_t id, std::uint64_t done, std::uint64_t total);
 
-  /// Next per-job event sequence number, monotonic from 1 (0 for unknown or
-  /// already-forgotten ids). Every EVENT line a job emits is stamped
-  /// through this so streaming clients can detect drops and reorders.
-  [[nodiscard]] std::uint64_t nextEventSeq(std::uint64_t id);
+  /// Log a worker-side event: STARTED, or FRAME (`done` = 0-based index of
+  /// the finished frame, `total` = frames), which also sets STATUS progress
+  /// to done+1 of total so a sequence job's progress counts frames. Other
+  /// types are logged by the methods that make their state change, and are
+  /// ignored here.
+  void append(std::uint64_t id, JobEvent::Type type, std::uint64_t done = 0,
+              std::uint64_t total = 0);
 
-  /// Retain one emitted FRAME event so late subscribers can replay it.
-  /// Bounded per job (oldest dropped first); no-op for unknown ids.
-  void recordFrame(std::uint64_t id, FrameMark mark);
+  /// The logged events of a job with seq > `afterSeq`, in seq order. Blocks
+  /// until there is at least one or `timeout` elapses (then the batch is
+  /// empty). nullopt for unknown or already-forgotten ids. The log keeps
+  /// the newest kMaxEvents, so a replay of a longer sequence job starts at
+  /// the oldest retained event; the terminal event is always retained.
+  [[nodiscard]] std::optional<std::vector<JobEvent>> events(
+      std::uint64_t id, std::uint64_t afterSeq,
+      std::chrono::milliseconds timeout) const;
 
-  /// The retained FRAME events of a job, in emission (seq) order. Empty
-  /// for unknown ids and non-sequence jobs.
-  [[nodiscard]] std::vector<FrameMark> frameHistory(std::uint64_t id) const;
+  /// Bound of one job's event log (a glob sequence can name arbitrarily
+  /// many frames).
+  static constexpr std::size_t kMaxEvents = 4096;
 
   /// Move a Running job to its terminal state: Failed when `error` is
   /// non-empty, Cancelled when the report says so, Done otherwise.
@@ -208,18 +237,21 @@ class JobQueue {
     double latencySeconds = 0.0;
     std::string error;
     engine::RunReport report;
-    std::uint64_t eventSeq = 0;  ///< last event sequence number handed out
-    std::vector<FrameMark> frameMarks;  ///< retained FRAME events (bounded)
+    std::deque<JobEvent> events;  ///< the newest kMaxEvents of the log
+    int lastDecile = -1;          ///< decile of the last PROGRESS event
     std::string client;                 ///< fairness bucket
     double queueSeconds = 0.0;          ///< admission -> dispatch
     double predictedCostSeconds = 0.0;  ///< DRR charge at admission
   };
 
+  void logLocked(std::uint64_t id, Record& record, JobEvent::Type type,
+                 std::uint64_t done = 0, std::uint64_t total = 0);
   void pruneLocked();
 
   mutable std::mutex mutex_;
   std::condition_variable jobReady_;  ///< submit -> waitNext
   std::condition_variable idle_;      ///< finish -> waitIdle
+  mutable std::condition_variable logged_;  ///< any append -> events
   std::map<std::uint64_t, Record> records_;
   DeficitScheduler scheduler_;          ///< Queued ids, weighted-fair order
   std::map<std::string, ClientStats> clients_;  ///< persists across idling

@@ -64,8 +64,7 @@ using obs::jsonEscape;
 ///   `EVENT <id> PROGRESS <done> <total> seq=<n>`    decile progress
 ///   `EVENT <id> FRAME frame=<k>/<count> seq=<n>`    one finished sequence
 ///                                                   frame (k is 0-based)
-/// `seq` is per-job monotonic from 1; gaps are normal (throttling), a
-/// non-increasing value means the transport dropped or reordered events.
+/// `seq` is the event's position in the job's log, from 1 (ADMITTED).
 [[nodiscard]] std::string eventLine(const JobEvent& event);
 
 }  // namespace mcmcpar::serve::protocol

@@ -15,26 +15,6 @@ namespace mcmcpar::serve {
 
 using namespace std::chrono_literals;
 
-const char* toString(JobEvent::Type type) noexcept {
-  switch (type) {
-    case JobEvent::Type::Admitted:
-      return "ADMITTED";
-    case JobEvent::Type::Started:
-      return "STARTED";
-    case JobEvent::Type::Progress:
-      return "PROGRESS";
-    case JobEvent::Type::Frame:
-      return "FRAME";
-    case JobEvent::Type::Done:
-      return "DONE";
-    case JobEvent::Type::Failed:
-      return "FAILED";
-    case JobEvent::Type::Cancelled:
-      return "CANCELLED";
-  }
-  return "UNKNOWN";
-}
-
 Server::Server(ServerOptions options)
     : options_(options),
       budget_(options.threads),
@@ -248,7 +228,6 @@ std::uint64_t Server::submit(
     id = queue_.submit(admitted, predictedCost);
     jobImages_.emplace(id, std::move(frames));
   }
-  emit(JobEvent{JobEvent::Type::Admitted, id, 0, 0});
   return id;
 }
 
@@ -259,11 +238,8 @@ std::uint64_t Server::submitLine(const std::string& line) {
 CancelOutcome Server::cancel(std::uint64_t id) {
   const CancelOutcome outcome = queue_.cancel(id);
   if (outcome == CancelOutcome::QueuedCancelled) {
-    {
-      const std::scoped_lock lock(imageMutex_);
-      jobImages_.erase(id);
-    }
-    emit(JobEvent{JobEvent::Type::Cancelled, id, 0, 0});
+    const std::scoped_lock lock(imageMutex_);
+    jobImages_.erase(id);
   }
   return outcome;
 }
@@ -369,33 +345,6 @@ void Server::collectMetrics(obs::Collection& out) const {
   }
 }
 
-std::uint64_t Server::subscribe(std::function<void(const JobEvent&)> fn) {
-  const std::unique_lock lock(listenerMutex_);
-  const std::uint64_t token = nextListener_++;
-  listeners_.emplace(token, std::move(fn));
-  return token;
-}
-
-void Server::unsubscribe(std::uint64_t token) {
-  // Unique over the emit()s' shared locks: returning implies no callback
-  // is mid-flight, so the subscriber may tear down whatever it captured.
-  const std::unique_lock lock(listenerMutex_);
-  listeners_.erase(token);
-}
-
-void Server::emit(JobEvent event) {
-  // Stamp the per-job sequence number at emission, under the queue's lock,
-  // so concurrent emitters (worker + canceller) never hand out duplicates.
-  event.seq = queue_.nextEventSeq(event.id);
-  if (event.type == JobEvent::Type::Frame) {
-    // Retain FRAME events so a WAIT that attaches after a fast early frame
-    // can still replay the full per-frame stream (see socket.cpp).
-    queue_.recordFrame(event.id, {event.done, event.total, event.seq});
-  }
-  const std::shared_lock lock(listenerMutex_);
-  for (const auto& [token, fn] : listeners_) fn(event);
-}
-
 engine::RunReport Server::runSequenceJob(std::uint64_t id,
                                          const JobSpec& spec,
                                          std::vector<stream::Frame> frames) {
@@ -423,8 +372,7 @@ engine::RunReport Server::runSequenceJob(std::uint64_t id,
   // instead of iterations.
   hooks.onFrame = [this, id, frameCount](const stream::FrameResult& frame,
                                          const engine::RunReport&) {
-    queue_.progress(id, frame.index + 1, frameCount);
-    emit(JobEvent{JobEvent::Type::Frame, id, frame.index, frameCount});
+    queue_.append(id, JobEvent::Type::Frame, frame.index, frameCount);
   };
   return stream::SequenceRunner().run(sequence, resources, hooks);
 }
@@ -480,7 +428,7 @@ void Server::workerLoop(const std::stop_token& stop) {
       obs::Span jobSpan("serve", "job:" + spec->strategy);
       jobSpan.arg("id", std::to_string(id));
       if (dispatched) jobSpan.arg("client", dispatched->client);
-      emit(JobEvent{JobEvent::Type::Started, id, 0, 0});
+      queue_.append(id, JobEvent::Type::Started);
 
       // --delay-ms test hook: pretend to be a slow endpoint, in small
       // quanta so a cancel still lands promptly.
@@ -516,17 +464,8 @@ void Server::workerLoop(const std::stop_token& stop) {
         hooks.cancelRequested = [this, id] {
           return queue_.cancelRequested(id);
         };
-        // Record every beat (STATUS stays fine-grained) but fan events out
-        // only on decile changes, so hot strategies don't hammer listeners.
-        hooks.onProgress = [this, id,
-                            lastDecile = -1](const engine::RunProgress& p)
-            mutable {
+        hooks.onProgress = [this, id](const engine::RunProgress& p) {
           queue_.progress(id, p.done, p.total);
-          const int decile =
-              p.total == 0 ? -1 : static_cast<int>(10 * p.done / p.total);
-          if (decile == lastDecile) return;
-          lastDecile = decile;
-          emit(JobEvent{JobEvent::Type::Progress, id, p.done, p.total});
         };
 
         try {
@@ -551,18 +490,8 @@ void Server::workerLoop(const std::stop_token& stop) {
           .observe(report.wallSeconds);
     }
     queue_.finish(id, std::move(report), std::move(error));
-    {
-      const std::scoped_lock lock(imageMutex_);
-      jobImages_.erase(id);
-    }
-    const std::optional<JobStatus> finished = queue_.status(id);
-    JobEvent::Type type = JobEvent::Type::Done;
-    if (finished && finished->state == JobState::Failed) {
-      type = JobEvent::Type::Failed;
-    } else if (finished && finished->state == JobState::Cancelled) {
-      type = JobEvent::Type::Cancelled;
-    }
-    emit(JobEvent{type, id, 0, 0});
+    const std::scoped_lock lock(imageMutex_);
+    jobImages_.erase(id);
   }
 }
 

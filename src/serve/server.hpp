@@ -1,11 +1,11 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,24 +77,6 @@ struct ServerOptions {
   unsigned startDelayMs = 0;
 };
 
-/// One progress/lifecycle event of a job, streamed to subscribers.
-struct JobEvent {
-  enum class Type { Admitted, Started, Progress, Frame, Done, Failed,
-                    Cancelled };
-  Type type = Type::Admitted;
-  std::uint64_t id = 0;
-  std::uint64_t done = 0;   ///< Progress: iterations done.
-                            ///< Frame: 0-based index of the finished frame.
-  std::uint64_t total = 0;  ///< Progress: iteration budget.
-                            ///< Frame: frames in the sequence.
-  /// Per-job monotonic sequence number, assigned from 1 when the event is
-  /// emitted. Gaps are normal (Progress events are decile-throttled); a
-  /// non-increasing seq means the transport dropped or reordered events.
-  std::uint64_t seq = 0;
-};
-
-[[nodiscard]] const char* toString(JobEvent::Type type) noexcept;
-
 /// A consistent point-in-time summary for STATS and shutdown logs.
 struct ServerStats {
   JobCounts jobs;
@@ -114,8 +96,9 @@ struct ServerStats {
 /// construction entirely.
 ///
 /// Front-ends (socket, watch directory) translate their wire format into
-/// submit()/cancel()/status()/result() calls and observe per-job progress
-/// through subscribe(). The server itself speaks no protocol.
+/// submit()/cancel()/status()/result() calls and follow a job's progress by
+/// reading its event log through events(). The server itself speaks no
+/// protocol.
 class Server {
  public:
   explicit Server(ServerOptions options = {});
@@ -160,27 +143,12 @@ class Server {
       std::uint64_t id) const;
   [[nodiscard]] ServerStats stats() const;
 
-  /// Register an event listener. Callbacks run on worker and submitter
-  /// threads, possibly concurrently with themselves; they must be fast,
-  /// thread-safe, and must not call subscribe/unsubscribe from within the
-  /// callback. Returns a token for unsubscribe(), which acts as a barrier:
-  /// once it returns, the callback is not running and never will again.
-  [[nodiscard]] std::uint64_t subscribe(std::function<void(const JobEvent&)>);
-  void unsubscribe(std::uint64_t token);
-
-  /// Next event sequence number for a job (monotonic from 1). Events
-  /// emitted through the server are stamped automatically; the socket
-  /// front-end uses this for the synthetic terminal event a late WAIT
-  /// fabricates, so that event too continues the job's sequence.
-  [[nodiscard]] std::uint64_t nextEventSeq(std::uint64_t id) {
-    return queue_.nextEventSeq(id);
-  }
-
-  /// FRAME events a sequence job already emitted, in seq order. A WAIT
-  /// that subscribes after a fast early frame replays these first so the
-  /// client still sees one event per frame.
-  [[nodiscard]] std::vector<FrameMark> frameHistory(std::uint64_t id) const {
-    return queue_.frameHistory(id);
+  /// The job's logged events past `afterSeq`, blocking up to `timeout` for
+  /// the first (see JobQueue::events). WAIT replays and follows this log.
+  [[nodiscard]] std::optional<std::vector<JobEvent>> events(
+      std::uint64_t id, std::uint64_t afterSeq,
+      std::chrono::milliseconds timeout) const {
+    return queue_.events(id, afterSeq, timeout);
   }
 
   /// Graceful shutdown: stop admitting, wait up to `drainTimeoutSeconds`
@@ -196,7 +164,6 @@ class Server {
 
  private:
   void workerLoop(const std::stop_token& stop);
-  void emit(JobEvent event);
   /// Scrape-time collector registered with obs::Registry::global(): renders
   /// stats() (queue counts, cache, budget, per-client fairness, deficits)
   /// so METRICS, STATS and the shutdown summary share one source of truth.
@@ -220,12 +187,6 @@ class Server {
 
   std::mutex imageMutex_;  ///< pins job-id -> frame(s) while the job is alive
   std::map<std::uint64_t, std::vector<stream::Frame>> jobImages_;
-
-  // Emits take the lock shared (concurrent, non-blocking between workers);
-  // subscribe/unsubscribe take it unique, making unsubscribe a barrier.
-  std::shared_mutex listenerMutex_;
-  std::map<std::uint64_t, std::function<void(const JobEvent&)>> listeners_;
-  std::uint64_t nextListener_ = 1;
 
   std::mutex shutdownMutex_;  ///< serialises shutdown() callers
   bool stopped_ = false;

@@ -10,10 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <iterator>
 #include <sstream>
 
@@ -153,15 +150,12 @@ class GaugeScope {
   obs::Gauge& gauge_;
 };
 
-/// Parse a strict decimal job id; false on anything else.
+/// Parse a strict decimal id or size (engine::parseU64: no sign, no
+/// whitespace); false on anything else.
 bool parseId(const std::string& text, std::uint64_t& id) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  id = value;
-  return true;
+  const std::optional<std::uint64_t> value = engine::parseU64(text);
+  if (value) id = *value;
+  return value.has_value();
 }
 
 }  // namespace
@@ -523,125 +517,34 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
                                "no such job " + idText);
     }
 
-    // WAIT: subscribe, stream events for this id until a terminal one.
-    // Only this connection thread writes to the socket; the listener just
-    // enqueues, so event ordering is preserved and writes never interleave.
-    std::mutex eventMutex;
-    std::condition_variable eventReady;
-    std::deque<JobEvent> events;
-    const std::uint64_t token =
-        server_.subscribe([&, id](const JobEvent& event) {
-          if (event.id != id) return;
-          {
-            const std::scoped_lock lock(eventMutex);
-            events.push_back(event);
-          }
-          eventReady.notify_one();
-        });
-
-    // Replay FRAME events emitted before the subscription took effect — a
-    // fast first frame can finish before the client's WAIT arrives, and a
-    // WAIT on an already-finished sequence job should still stream one
-    // event per frame. Merge by seq with anything the listener queued in
-    // the meantime; equal seqs are the same event delivered both ways.
-    {
-      const std::vector<FrameMark> history = server_.frameHistory(id);
-      if (!history.empty()) {
-        std::deque<JobEvent> merged;
-        for (const FrameMark& mark : history) {
-          JobEvent event;
-          event.type = JobEvent::Type::Frame;
-          event.id = id;
-          event.done = mark.frame;
-          event.total = mark.total;
-          event.seq = mark.seq;
-          merged.push_back(event);
-        }
-        const std::scoped_lock lock(eventMutex);
-        for (const JobEvent& live : events) {
-          const auto pos = std::lower_bound(
-              merged.begin(), merged.end(), live.seq,
-              [](const JobEvent& e, std::uint64_t seq) { return e.seq < seq; });
-          if (pos != merged.end() && pos->seq == live.seq) continue;
-          merged.insert(pos, live);
-        }
-        events = std::move(merged);
+    // WAIT: replay the job's event log from ADMITTED, then follow it until
+    // the terminal event. Each batch leaves in one send; the terminal batch
+    // returns with the `OK <id> <state>` line, so the reply's tail is never
+    // split.
+    std::uint64_t afterSeq = 0;
+    while (!stopping_.load()) {
+      const std::optional<std::vector<JobEvent>> batch =
+          server_.events(id, afterSeq, std::chrono::milliseconds(kPollMillis));
+      if (!batch) {
+        return response::errLine(protocol::kErrUnknownJob,
+                                 "job " + idText + " no longer retained");
       }
-    }
-
-    std::string finalState;
-    bool vanished = false;  // pruned from retention while we waited
-    // The lines of one wake-up, written with one send. The batch holding
-    // the terminal event also carries the `OK <id> <state>` line, which
-    // handleConnection writes, so the reply's tail is never split.
-    std::string out;
-    // The job may already be terminal (subscribe raced the finish): emit
-    // the synthetic terminal event from its recorded state.
-    int lastDecile = -1;
-    while (finalState.empty() && !stopping_.load()) {
-      const std::optional<JobStatus> now = server_.status(id);
-      if (!now) {
-        vanished = true;
+      if (batch->empty()) continue;
+      std::string out;
+      for (const JobEvent& event : *batch) {
+        out += protocol::eventLine(event) + '\n';
+      }
+      afterSeq = batch->back().seq;
+      if (const std::optional<JobState> finalState =
+              terminalState(batch->back().type)) {
+        return out + response::okLine(idText + " " + toString(*finalState));
+      }
+      if (!sendAll(fd, out)) {
+        keepOpen = false;
         break;
       }
-      if (isTerminal(now->state)) {
-        std::unique_lock lock(eventMutex);
-        if (events.empty()) {
-          JobEvent event;
-          event.id = id;
-          event.type = now->state == JobState::Done ? JobEvent::Type::Done
-                       : now->state == JobState::Failed
-                           ? JobEvent::Type::Failed
-                           : JobEvent::Type::Cancelled;
-          // Continue the job's event numbering so even the synthetic
-          // terminal line keeps the stream monotonic for this client.
-          event.seq = server_.nextEventSeq(id);
-          events.push_back(event);
-        }
-      }
-      std::unique_lock lock(eventMutex);
-      eventReady.wait_for(lock, std::chrono::milliseconds(kPollMillis),
-                          [&] { return !events.empty(); });
-      while (!events.empty()) {
-        const JobEvent event = events.front();
-        events.pop_front();
-        if (event.type == JobEvent::Type::Progress) {
-          // Throttle the stream to decile changes; strategies may beat far
-          // more often than a client wants to read.
-          const int decile =
-              event.total == 0
-                  ? -1
-                  : static_cast<int>(10 * event.done / event.total);
-          if (decile == lastDecile) continue;
-          lastDecile = decile;
-        }
-        out += protocol::eventLine(event);
-        out += '\n';
-        if (event.type == JobEvent::Type::Done ||
-            event.type == JobEvent::Type::Failed ||
-            event.type == JobEvent::Type::Cancelled) {
-          finalState = event.type == JobEvent::Type::Done     ? "done"
-                       : event.type == JobEvent::Type::Failed ? "failed"
-                                                              : "cancelled";
-          break;
-        }
-      }
-      lock.unlock();
-      if (finalState.empty() && !out.empty()) {
-        if (!sendAll(fd, out)) {
-          keepOpen = false;
-          break;
-        }
-        out.clear();
-      }
     }
-    server_.unsubscribe(token);
-    if (vanished) {
-      return response::errLine(protocol::kErrUnknownJob,
-                               "job " + idText + " no longer retained");
-    }
-    if (finalState.empty()) return "";
-    return out + response::okLine(idText + " " + finalState);
+    return "";
   }
 
   if (command == "STATS") {

@@ -38,7 +38,8 @@ class ProtocolError : public std::runtime_error {
 ///   RESULT <id>         -> OK <id> <json>
 ///   REPORT <id>         -> OK <id> <json + circles_detail> (shard merges)
 ///   CANCEL <id>         -> OK <id> cancelled|cancelling|already-terminal
-///   WAIT <id>           -> EVENT lines until terminal, then OK <id> <state>
+///   WAIT <id>           -> the job's EVENT log from ADMITTED seq=1 until
+///                          its terminal event, then OK <id> <state>
 ///   STATS               -> OK <json>
 ///   METRICS             -> OK <nbytes>, then <nbytes> raw bytes of
 ///                          Prometheus text exposition (obs::Registry)
@@ -83,8 +84,8 @@ class SocketFrontend {
   /// Run one command line and return its reply as wire-ready bytes (empty
   /// = nothing to send), which handleConnection writes with one send: a
   /// reply split over two writes would stall behind the peer's delayed ACK.
-  /// Only WAIT writes to `fd` itself, one send per batch of progress
-  /// events; its terminal event returns with the `OK` line.
+  /// Only WAIT writes to `fd` itself, one send per batch of logged events;
+  /// the terminal batch returns with the `OK` line.
   [[nodiscard]] std::string dispatch(const std::string& line, int fd,
                                      ConnectionState& state, bool& keepOpen);
   /// Consume and validate one binary frame (the UPLOAD body follows the

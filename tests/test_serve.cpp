@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -13,7 +14,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -453,26 +454,19 @@ TEST(Server, BudgetReturnsToFullWhenIdle) {
 
 TEST(Server, EventStreamCoversTheJobLifecycle) {
   Server server(tinyServer());
-  std::mutex mutex;
-  std::vector<JobEvent> events;
-  const std::uint64_t token = server.subscribe([&](const JobEvent& event) {
-    const std::scoped_lock lock(mutex);
-    events.push_back(event);
-  });
   const std::uint64_t id =
       server.submitLine("synth serial @iters=2000 @trace=50");
+  std::vector<JobEvent> events;
   ASSERT_TRUE(waitFor([&] {
-    const std::scoped_lock lock(mutex);
-    for (const JobEvent& event : events) {
-      if (event.id == id && event.type == JobEvent::Type::Done) return true;
-    }
-    return false;
+    const auto batch =
+        server.events(id, events.empty() ? 0 : events.back().seq, 50ms);
+    if (!batch) return false;
+    events.insert(events.end(), batch->begin(), batch->end());
+    return !events.empty() && events.back().type == JobEvent::Type::Done;
   }));
-  server.unsubscribe(token);
-  const std::scoped_lock lock(mutex);
   bool sawAdmitted = false, sawStarted = false, sawProgress = false;
   for (const JobEvent& event : events) {
-    if (event.id != id) continue;
+    EXPECT_EQ(event.id, id);
     sawAdmitted |= event.type == JobEvent::Type::Admitted;
     sawStarted |= event.type == JobEvent::Type::Started;
     sawProgress |= event.type == JobEvent::Type::Progress;
@@ -483,17 +477,36 @@ TEST(Server, EventStreamCoversTheJobLifecycle) {
 }
 
 // Run under -DMCMCPAR_SANITIZE=thread in CI to prove race-freedom of the
-// admission path: concurrent submitters, one shared budget, events fanning
-// out while jobs complete.
+// admission path: concurrent submitters, one shared budget, readers pulling
+// the event logs of live jobs while workers append to them.
 TEST(Server, ConcurrentSubmittersStress) {
   Server server(tinyServer(4));
   std::atomic<std::uint64_t> eventCount{0};
-  const std::uint64_t token = server.subscribe(
-      [&](const JobEvent&) { ++eventCount; });
 
   constexpr int kThreads = 6;
   constexpr int kJobsPer = 5;
   std::vector<std::vector<std::uint64_t>> ids(kThreads);
+  std::vector<std::jthread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r](const std::stop_token& stop) {
+      // Follow every other job's log from ADMITTED to its terminal event,
+      // blocking in events() while workers append to it.
+      for (std::uint64_t id = 1 + r; !stop.stop_requested(); id += 2) {
+        std::uint64_t afterSeq = 0;
+        while (!stop.stop_requested()) {
+          const auto batch = server.events(id, afterSeq, 10ms);
+          if (!batch) {  // not admitted yet
+            std::this_thread::sleep_for(1ms);
+            continue;
+          }
+          if (batch->empty()) continue;
+          eventCount += batch->size();
+          afterSeq = batch->back().seq;
+          if (terminalState(batch->back().type)) break;
+        }
+      }
+    });
+  }
   {
     std::vector<std::jthread> submitters;
     submitters.reserve(kThreads);
@@ -513,15 +526,167 @@ TEST(Server, ConcurrentSubmittersStress) {
                static_cast<std::uint64_t>(kThreads * kJobsPer);
       },
       60s));
-  server.unsubscribe(token);
+  readers.clear();  // request stop and join
 
-  // Every id distinct, every job Done.
+  // Every id distinct, every job Done, every log ending in DONE.
   std::vector<std::uint64_t> all;
   for (const auto& chunk : ids) all.insert(all.end(), chunk.begin(), chunk.end());
   std::sort(all.begin(), all.end());
   EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
   EXPECT_EQ(all.size(), static_cast<std::size_t>(kThreads * kJobsPer));
+  for (const std::uint64_t id : all) {
+    const auto log = server.events(id, 0, 0ms);
+    ASSERT_TRUE(log && !log->empty()) << "job " << id;
+    EXPECT_EQ(log->back().type, JobEvent::Type::Done) << "job " << id;
+  }
   EXPECT_GT(eventCount.load(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// JobQueue event log (no sockets, no workers)
+// ---------------------------------------------------------------------------
+
+/// Submit one job and dispatch it, as a worker would.
+std::uint64_t runningJob(JobQueue& queue) {
+  const std::uint64_t id =
+      queue.submit(engine::parseManifestLine("synth serial"));
+  EXPECT_EQ(queue.waitNext(0ms), std::optional<std::uint64_t>(id));
+  return id;
+}
+
+TEST(JobQueue, TerminalStatusImpliesTheLogEndsWithThatEvent) {
+  const struct {
+    const char* error;
+    bool cancelled;
+    JobState state;
+    JobEvent::Type event;
+  } cases[] = {
+      {"", false, JobState::Done, JobEvent::Type::Done},
+      {"boom", false, JobState::Failed, JobEvent::Type::Failed},
+      {"", true, JobState::Cancelled, JobEvent::Type::Cancelled},
+  };
+  for (const auto& c : cases) {
+    JobQueue queue;
+    const std::uint64_t id = runningJob(queue);
+    // A reader racing the finish must never see a terminal status whose
+    // log does not yet end with the terminal event.
+    std::jthread reader([&] {
+      while (true) {
+        const std::optional<JobStatus> status = queue.status(id);
+        ASSERT_TRUE(status);
+        if (!isTerminal(status->state)) continue;
+        const auto log = queue.events(id, 0, 0ms);
+        ASSERT_TRUE(log && !log->empty());
+        EXPECT_EQ(log->back().type, c.event);
+        EXPECT_EQ(terminalState(log->back().type), status->state);
+        return;
+      }
+    });
+    queue.append(id, JobEvent::Type::Started);
+    engine::RunReport report;
+    report.cancelled = c.cancelled;
+    queue.finish(id, report, c.error);
+    reader.join();
+    EXPECT_EQ(queue.status(id)->state, c.state);
+  }
+}
+
+TEST(JobQueue, CancellingAQueuedJobAppendsCancelled) {
+  JobQueue queue;
+  const std::uint64_t id =
+      queue.submit(engine::parseManifestLine("synth serial"));
+  EXPECT_EQ(queue.cancel(id), CancelOutcome::QueuedCancelled);
+  const auto log = queue.events(id, 0, 0ms);
+  ASSERT_TRUE(log);
+  ASSERT_EQ(log->size(), 2u);
+  EXPECT_EQ((*log)[0].type, JobEvent::Type::Admitted);
+  EXPECT_EQ((*log)[0].seq, 1u);
+  EXPECT_EQ((*log)[1].type, JobEvent::Type::Cancelled);
+  EXPECT_EQ((*log)[1].seq, 2u);
+  // Cancelling again changes nothing and logs nothing.
+  EXPECT_EQ(queue.cancel(id), CancelOutcome::AlreadyTerminal);
+  EXPECT_EQ(queue.events(id, 0, 0ms)->size(), 2u);
+}
+
+TEST(JobQueue, ProgressIsLoggedOnlyWhenTheDecileChanges) {
+  JobQueue queue;
+  const std::uint64_t id = runningJob(queue);
+  for (std::uint64_t done = 0; done <= 1000; done += 7) {
+    queue.progress(id, done, 1000);
+  }
+  queue.progress(id, 1000, 1000);
+  queue.progress(id, 1000, 1000);
+  EXPECT_EQ(queue.status(id)->progressDone, 1000u);  // every beat counts
+  const auto log = queue.events(id, 1, 0ms);  // past ADMITTED
+  ASSERT_TRUE(log);
+  ASSERT_EQ(log->size(), 11u);  // deciles 0..10, one event each
+  for (std::size_t k = 0; k < log->size(); ++k) {
+    EXPECT_EQ((*log)[k].type, JobEvent::Type::Progress);
+    EXPECT_EQ(10 * (*log)[k].done / (*log)[k].total, k);
+    EXPECT_EQ((*log)[k].seq, k + 2);
+  }
+}
+
+TEST(JobQueue, FrameLogKeepsTheNewest4096Events) {
+  JobQueue queue;
+  const std::uint64_t id = runningJob(queue);
+  queue.append(id, JobEvent::Type::Started);
+  constexpr std::uint64_t kFrames = 5000;
+  for (std::uint64_t k = 0; k < kFrames; ++k) {
+    queue.append(id, JobEvent::Type::Frame, k, kFrames);
+  }
+  EXPECT_EQ(queue.status(id)->progressDone, kFrames);
+  const auto log = queue.events(id, 0, 0ms);
+  ASSERT_TRUE(log);
+  ASSERT_EQ(log->size(), JobQueue::kMaxEvents);
+  ASSERT_EQ(JobQueue::kMaxEvents, 4096u);
+  const std::uint64_t logged = 2 + kFrames;  // ADMITTED, STARTED, frames
+  for (std::size_t k = 0; k < log->size(); ++k) {
+    EXPECT_EQ((*log)[k].seq, logged - log->size() + 1 + k);
+    EXPECT_EQ((*log)[k].type, JobEvent::Type::Frame);
+  }
+  EXPECT_EQ(log->back().done, kFrames - 1);
+  // A reader that is behind the retained window resumes at its start.
+  EXPECT_EQ(queue.events(id, 5, 0ms)->size(), JobQueue::kMaxEvents);
+  EXPECT_EQ(queue.events(id, logged - 3, 0ms)->size(), 3u);
+}
+
+TEST(JobQueue, PrunedIdReturnsNullopt) {
+  JobQueue queue(/*retainLimit=*/1);
+  const std::uint64_t first =
+      queue.submit(engine::parseManifestLine("synth serial"));
+  (void)queue.cancel(first);
+  ASSERT_TRUE(queue.events(first, 0, 0ms));
+  const std::uint64_t second =
+      queue.submit(engine::parseManifestLine("synth serial"));
+  (void)queue.cancel(second);  // retention 1: forgets `first`
+  EXPECT_FALSE(queue.status(first));
+  EXPECT_FALSE(queue.events(first, 0, 0ms));
+  EXPECT_FALSE(queue.events(999, 0, 0ms));
+  EXPECT_TRUE(queue.events(second, 0, 0ms));
+}
+
+TEST(JobQueue, EventsWithNothingNewTimeOutEmptyOrWakeOnAnAppend) {
+  JobQueue queue;
+  const std::uint64_t id = runningJob(queue);
+  const auto start = std::chrono::steady_clock::now();
+  const auto none = queue.events(id, 1, 50ms);
+  ASSERT_TRUE(none);
+  EXPECT_TRUE(none->empty());
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 45ms);
+
+  // A blocked reader wakes on the next append, long before its timeout.
+  std::jthread appender([&] {
+    std::this_thread::sleep_for(20ms);
+    queue.append(id, JobEvent::Type::Started);
+  });
+  const auto woke = std::chrono::steady_clock::now();
+  const auto batch = queue.events(id, 1, 20s);
+  ASSERT_TRUE(batch);
+  ASSERT_EQ(batch->size(), 1u);
+  EXPECT_EQ(batch->front().type, JobEvent::Type::Started);
+  EXPECT_EQ(batch->front().seq, 2u);
+  EXPECT_LT(std::chrono::steady_clock::now() - woke, 10s);
 }
 
 // ---------------------------------------------------------------------------
@@ -610,6 +775,9 @@ TEST_F(SocketFixture, ErrorCodesMatchTheProtocolSpec) {
   EXPECT_EQ(client.request("BOGUS").rfind("ERR BAD_REQUEST", 0), 0u);
   EXPECT_EQ(client.request("STATUS 999").rfind("ERR UNKNOWN_JOB", 0), 0u);
   EXPECT_EQ(client.request("STATUS x").rfind("ERR BAD_REQUEST", 0), 0u);
+  // Ids are strict decimals: a sign is malformed, not an unknown job.
+  EXPECT_EQ(client.request("STATUS +1").rfind("ERR BAD_REQUEST", 0), 0u);
+  EXPECT_EQ(client.request("STATUS -1").rfind("ERR BAD_REQUEST", 0), 0u);
   EXPECT_EQ(client.request("SUBMIT synth warp").rfind("ERR BAD_JOB", 0), 0u);
   const std::uint64_t id = client.submit("synth serial @iters=400000000");
   EXPECT_EQ(client.request("RESULT " + std::to_string(id))
@@ -663,6 +831,43 @@ TEST_F(SocketFixture, EventSeqIsMonotonicPerJob) {
     const std::uint64_t seq = eventSeqOf(line);
     EXPECT_GT(seq, last) << line;  // strictly increasing; gaps are fine
     last = seq;
+  }
+}
+
+// Every WAIT replays the job's whole log, so repeated WAITs on a finished
+// job stream the same bytes, numbered 1..n from ADMITTED, ending with the
+// job's terminal event. The terminal event keeps the seq it was logged
+// with instead of getting a new one per WAIT.
+TEST_F(SocketFixture, RepeatedWaitsReplayTheSameGaplessLog) {
+  for (const char* line :
+       {"synth serial @iters=1500", "synth serial @sequence=4 @iters=300"}) {
+    const std::uint64_t id = client.submit(line);
+    const std::string idText = std::to_string(id);
+    ASSERT_TRUE(waitFor([&] {
+      const auto status = server->status(id);
+      return status && isTerminal(status->state);
+    }));
+    const JobState state = server->status(id)->state;
+    std::vector<std::vector<std::string>> streams(3);
+    for (std::vector<std::string>& events : streams) {
+      EXPECT_EQ(client.wait(id, [&](const std::string& event) {
+        events.push_back(event);
+      }),
+                toString(state))
+          << line;
+    }
+    EXPECT_EQ(streams[1], streams[0]) << line;
+    EXPECT_EQ(streams[2], streams[0]) << line;
+    const std::vector<std::string>& events = streams[0];
+    ASSERT_FALSE(events.empty()) << line;
+    EXPECT_EQ(events.front(), "EVENT " + idText + " ADMITTED seq=1");
+    for (std::size_t k = 0; k < events.size(); ++k) {
+      EXPECT_EQ(eventSeqOf(events[k]), k + 1) << events[k];
+    }
+    std::string terminal = toString(state);
+    for (char& c : terminal) c = static_cast<char>(std::toupper(c));
+    EXPECT_EQ(events.back(), "EVENT " + idText + " " + terminal +
+                                 " seq=" + std::to_string(events.size()));
   }
 }
 

@@ -11,7 +11,6 @@
 //   mcmcpar_run --batch jobs.txt --threads 8 --iterations 10000
 //   mcmcpar_run --shard 2x2 --strategy serial --image big.pgm --opt halo=16
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -102,42 +101,11 @@ void printUsage() {
       "                      hedges and the stitch as nested spans\n");
 }
 
-/// Strict numeric parsing: the whole token must convert, mirroring the
-/// engine's key=value validation (no silent "20k" -> 20 truncation).
-bool parseU64(const char* flag, const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: expected an unsigned integer, got '%s'\n", flag,
-                 text);
-    return false;
-  }
-  out = value;
-  return true;
-}
-
-bool parseInt(const char* flag, const char* text, int& out) {
-  std::uint64_t value = 0;
-  if (!parseU64(flag, text, value) || value > 0x7FFFFFFFull) {
-    std::fprintf(stderr, "%s: expected a positive int, got '%s'\n", flag,
-                 text);
-    return false;
-  }
-  out = static_cast<int>(value);
-  return true;
-}
-
-bool parseDouble(const char* flag, const char* text, double& out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag, text);
-    return false;
-  }
-  out = value;
-  return true;
+/// Flag values go through engine::flagU64/flagDouble (the whole token
+/// must convert, no silent "20k" -> 20 truncation); they throw EngineError
+/// naming the flag, which main() reports before exiting 2.
+int intFlag(const char* flag, const char* text) {
+  return static_cast<int>(engine::flagU64(flag, text, 0, 0x7FFFFFFFull));
 }
 
 std::optional<CliOptions> parseArgs(int argc, char** argv) {
@@ -169,30 +137,28 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       cli.strategyOptions.emplace_back(v);
     } else if (std::strcmp(arg, "--iterations") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseU64(arg, v, cli.budget.iterations)) return std::nullopt;
+      cli.budget.iterations = engine::flagU64(arg, v);
     } else if (std::strcmp(arg, "--trace") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseU64(arg, v, cli.budget.traceInterval)) return std::nullopt;
+      cli.budget.traceInterval = engine::flagU64(arg, v);
     } else if (std::strcmp(arg, "--seed") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseU64(arg, v, cli.resources.seed)) return std::nullopt;
+      cli.resources.seed = engine::flagU64(arg, v);
     } else if (std::strcmp(arg, "--threads") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      int threads = 0;
-      if (!parseInt(arg, v, threads)) return std::nullopt;
-      cli.resources.threads = static_cast<unsigned>(threads);
+      cli.resources.threads = static_cast<unsigned>(intFlag(arg, v));
     } else if (std::strcmp(arg, "--width") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseInt(arg, v, cli.width)) return std::nullopt;
+      cli.width = intFlag(arg, v);
     } else if (std::strcmp(arg, "--height") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseInt(arg, v, cli.height)) return std::nullopt;
+      cli.height = intFlag(arg, v);
     } else if (std::strcmp(arg, "--cells") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseInt(arg, v, cli.cells)) return std::nullopt;
+      cli.cells = intFlag(arg, v);
     } else if (std::strcmp(arg, "--radius") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseDouble(arg, v, cli.radius)) return std::nullopt;
+      cli.radius = engine::flagDouble(arg, v);
     } else if (std::strcmp(arg, "--image") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.imagePath = v;
@@ -211,15 +177,13 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       cli.noTrack = true;
     } else if (std::strcmp(arg, "--fresh-fraction") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseDouble(arg, v, cli.freshFraction)) return std::nullopt;
+      cli.freshFraction = engine::flagDouble(arg, v);
     } else if (std::strcmp(arg, "--jobs") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      int jobs = 0;
-      if (!parseInt(arg, v, jobs)) return std::nullopt;
-      cli.maxJobs = static_cast<unsigned>(jobs);
+      cli.maxJobs = static_cast<unsigned>(intFlag(arg, v));
     } else if (std::strcmp(arg, "--deadline") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
-      if (!parseDouble(arg, v, cli.deadline)) return std::nullopt;
+      cli.deadline = engine::flagDouble(arg, v);
     } else if (std::strcmp(arg, "--trace-out") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.traceOut = v;
@@ -610,7 +574,12 @@ int runSequence(const CliOptions& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::optional<CliOptions> parsed = parseArgs(argc, argv);
+  std::optional<CliOptions> parsed;
+  try {
+    parsed = parseArgs(argc, argv);
+  } catch (const engine::EngineError& e) {  // a malformed flag value
+    std::fprintf(stderr, "%s\n", e.what());
+  }
   if (!parsed) return 2;
   const CliOptions& cli = *parsed;
   if (cli.help) {

@@ -14,7 +14,6 @@
 // a graceful drain bounded by --drain-timeout.
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -95,41 +94,8 @@ void printUsage() {
       "\nJob line grammar and the socket protocol: docs/PROTOCOL.md\n");
 }
 
-bool parseU64(const char* flag, const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: expected an unsigned integer, got '%s'\n", flag,
-                 text);
-    return false;
-  }
-  out = value;
-  return true;
-}
-
-bool parseUnsigned(const char* flag, const char* text, unsigned& out) {
-  std::uint64_t value = 0;
-  if (!parseU64(flag, text, value) || value > 0xFFFFFFFFull) {
-    std::fprintf(stderr, "%s: expected a 32-bit unsigned, got '%s'\n", flag,
-                 text);
-    return false;
-  }
-  out = static_cast<unsigned>(value);
-  return true;
-}
-
-bool parseDouble(const char* flag, const char* text, double& out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag, text);
-    return false;
-  }
-  out = value;
-  return true;
-}
+constexpr std::uint64_t kU32Max = 0xFFFFFFFFull;
+constexpr std::uint64_t kIntMax = 0x7FFFFFFFull;
 
 std::optional<CliOptions> parseArgs(int argc, char** argv) {
   CliOptions cli;
@@ -140,88 +106,70 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // Flag values go through engine::flagU64/flagDouble, which throw
+  // EngineError naming the flag; main() reports it and exits 2.
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* v = nullptr;
-    unsigned u = 0;
+    const auto u32 = [&](std::uint64_t max = kU32Max) {
+      return static_cast<unsigned>(engine::flagU64(arg, v, 0, max));
+    };
     if (std::strcmp(arg, "--help") == 0) {
       cli.help = true;
       return cli;
     } else if (std::strcmp(arg, "--omp") == 0) {
       cli.server.useOpenMp = true;
     } else if (std::strcmp(arg, "--listen") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
-        return std::nullopt;
-      }
-      if (u > 65535) {
-        std::fprintf(stderr, "--listen: port out of range: %u\n", u);
-        return std::nullopt;
-      }
-      cli.listenPort = u;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.listenPort = u32(65535);
     } else if (std::strcmp(arg, "--watch") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.watchDir = v;
     } else if (std::strcmp(arg, "--poll-ms") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, cli.pollMillis))
-        return std::nullopt;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.pollMillis = u32();
     } else if (std::strcmp(arg, "--endpoints-file") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.endpointsFile = v;
     } else if (std::strcmp(arg, "--ping-interval") == 0) {
-      if ((v = value(i)) == nullptr ||
-          !parseDouble(arg, v, cli.pingInterval))
-        return std::nullopt;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.pingInterval = engine::flagDouble(arg, v);
     } else if (std::strcmp(arg, "--threads") == 0) {
-      if ((v = value(i)) == nullptr ||
-          !parseUnsigned(arg, v, cli.server.threads))
-        return std::nullopt;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.threads = u32();
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      if ((v = value(i)) == nullptr ||
-          !parseUnsigned(arg, v, cli.server.maxConcurrentJobs))
-        return std::nullopt;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.maxConcurrentJobs = u32();
     } else if (std::strcmp(arg, "--max-queued") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
-        return std::nullopt;
-      }
-      cli.server.maxQueued = u;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.maxQueued = u32();
     } else if (std::strcmp(arg, "--delay-ms") == 0) {
-      if ((v = value(i)) == nullptr ||
-          !parseUnsigned(arg, v, cli.server.startDelayMs))
-        return std::nullopt;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.startDelayMs = u32();
     } else if (std::strcmp(arg, "--cache-mb") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
-        return std::nullopt;
-      }
-      cli.server.cacheBytes = static_cast<std::size_t>(u) << 20;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.cacheBytes = static_cast<std::size_t>(u32()) << 20;
     } else if (std::strcmp(arg, "--drain-timeout") == 0) {
-      if ((v = value(i)) == nullptr || !parseDouble(arg, v, cli.drainTimeout))
-        return std::nullopt;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.drainTimeout = engine::flagDouble(arg, v);
     } else if (std::strcmp(arg, "--iterations") == 0) {
-      if ((v = value(i)) == nullptr ||
-          !parseU64(arg, v, cli.server.defaultBudget.iterations))
-        return std::nullopt;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.defaultBudget.iterations = engine::flagU64(arg, v);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      if ((v = value(i)) == nullptr || !parseU64(arg, v, cli.server.seed))
-        return std::nullopt;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.seed = engine::flagU64(arg, v);
     } else if (std::strcmp(arg, "--radius") == 0) {
-      if ((v = value(i)) == nullptr ||
-          !parseDouble(arg, v, cli.server.radius))
-        return std::nullopt;
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.radius = engine::flagDouble(arg, v);
     } else if (std::strcmp(arg, "--width") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
-        return std::nullopt;
-      }
-      cli.server.synthWidth = static_cast<int>(u);
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.synthWidth = static_cast<int>(u32(kIntMax));
     } else if (std::strcmp(arg, "--height") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
-        return std::nullopt;
-      }
-      cli.server.synthHeight = static_cast<int>(u);
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.synthHeight = static_cast<int>(u32(kIntMax));
     } else if (std::strcmp(arg, "--cells") == 0) {
-      if ((v = value(i)) == nullptr || !parseUnsigned(arg, v, u)) {
-        return std::nullopt;
-      }
-      cli.server.synthCells = static_cast<int>(u);
+      if ((v = value(i)) == nullptr) return std::nullopt;
+      cli.server.synthCells = static_cast<int>(u32(kIntMax));
     } else if (std::strcmp(arg, "--trace-out") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.traceOut = v;
@@ -242,7 +190,12 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::optional<CliOptions> parsed = parseArgs(argc, argv);
+  std::optional<CliOptions> parsed;
+  try {
+    parsed = parseArgs(argc, argv);
+  } catch (const engine::EngineError& e) {  // a malformed flag value
+    std::fprintf(stderr, "%s\n", e.what());
+  }
   if (!parsed) return 2;
   const CliOptions& cli = *parsed;
   if (cli.help) {

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/options.hpp"
 #include "img/pnm_io.hpp"
 #include "img/synth.hpp"
 #include "serve/socket.hpp"
@@ -28,6 +29,9 @@
 using namespace mcmcpar;
 
 namespace {
+
+/// The protocol's bound on one UPLOAD frame dimension (docs/PROTOCOL.md).
+constexpr std::uint64_t kMaxFrameDim = 1u << 16;
 
 void printUsage() {
   std::printf(
@@ -37,7 +41,7 @@ void printUsage() {
       "  --host H            server address (default: 127.0.0.1)\n"
       "  --no-wait           submit and print the id without waiting\n"
       "  --progress          print EVENT lines to stderr while waiting\n"
-      "  --timeout X         read timeout in seconds (default: 300)\n"
+      "  --timeout X         read timeout in seconds (default: 300; 0 = none)\n"
       "  --upload            read the first job token as a local PGM, push\n"
       "                      its pixels over the connection as a binary\n"
       "                      UPLOAD frame and submit with @image=inline --\n"
@@ -121,93 +125,87 @@ int main(int argc, char** argv) {
   std::optional<std::uint64_t> waitId;  // --wait ID
   std::vector<std::string> jobTokens;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value after %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--help") {
-      printUsage();
-      return 0;
-    } else if (arg == "--host") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      host = v;
-    } else if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      port = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--no-wait") {
-      wait = false;
-    } else if (arg == "--progress") {
-      progress = true;
-    } else if (arg == "--upload") {
-      upload = true;
-    } else if (arg == "--oneshot") {
-      oneshot = true;
-    } else if (arg == "--sequence") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || n == 0) {
-        std::fprintf(stderr, "--sequence: expected a frame count, got '%s'\n",
-                     v);
+  // Numeric flag values parse strictly (engine::flagU64/flagDouble); a
+  // malformed one is a usage error, reported before any connection attempt.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "missing value after %s\n", arg.c_str());
+          return nullptr;
+        }
+        return argv[++i];
+      };
+      if (arg == "--help") {
+        printUsage();
+        return 0;
+      } else if (arg == "--host") {
+        const char* v = value();
+        if (v == nullptr) return 2;
+        host = v;
+      } else if (arg == "--port") {
+        const char* v = value();
+        if (v == nullptr) return 2;
+        port = static_cast<unsigned>(engine::flagU64(arg, v, 1, 65535));
+      } else if (arg == "--no-wait") {
+        wait = false;
+      } else if (arg == "--progress") {
+        progress = true;
+      } else if (arg == "--upload") {
+        upload = true;
+      } else if (arg == "--oneshot") {
+        oneshot = true;
+      } else if (arg == "--sequence") {
+        const char* v = value();
+        if (v == nullptr) return 2;
+        sequenceFrames = engine::flagU64(arg, v, 1);
+      } else if (arg == "--seq-size") {
+        const char* v = value();
+        if (v == nullptr) return 2;
+        seqSize = static_cast<int>(engine::flagU64(arg, v, 1, kMaxFrameDim));
+      } else if (arg == "--seq-cells") {
+        const char* v = value();
+        if (v == nullptr) return 2;
+        seqCells = static_cast<int>(engine::flagU64(arg, v, 0, 0x7FFFFFFFull));
+      } else if (arg == "--seed") {
+        const char* v = value();
+        if (v == nullptr) return 2;
+        seed = engine::flagU64(arg, v);
+      } else if (arg == "--timeout") {
+        const char* v = value();
+        if (v == nullptr) return 2;
+        timeoutSeconds = engine::flagDouble(arg, v, 0.0);
+      } else if (arg == "--wait") {
+        const char* v = value();
+        if (v == nullptr) return 2;
+        waitId = engine::flagU64(arg, v, 1);
+      } else if (arg == "--status" || arg == "--result" || arg == "--report" ||
+                 arg == "--cancel") {
+        const char* v = value();
+        if (v == nullptr) return 2;
+        std::string verb = arg.substr(2);
+        for (char& c : verb) c = static_cast<char>(std::toupper(c));
+        command = verb + " " + v;
+      } else if (arg == "--stats") {
+        command = "STATS";
+      } else if (arg == "--metrics") {
+        command = "METRICS";
+      } else if (arg == "--ping") {
+        command = "PING";
+      } else if (arg == "--shutdown") {
+        command = "SHUTDOWN";
+      } else if (!arg.empty() && arg[0] == '-') {
+        std::fprintf(stderr, "unknown option: %s\n\n", arg.c_str());
+        printUsage();
         return 2;
+      } else {
+        jobTokens.push_back(arg);
       }
-      sequenceFrames = n;
-    } else if (arg == "--seq-size") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      seqSize = static_cast<int>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--seq-cells") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      seqCells = static_cast<int>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--timeout") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      timeoutSeconds = std::strtod(v, nullptr);
-    } else if (arg == "--wait") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      char* end = nullptr;
-      const unsigned long long id = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || id == 0) {
-        std::fprintf(stderr, "--wait: expected a job id, got '%s'\n", v);
-        return 2;
-      }
-      waitId = id;
-    } else if (arg == "--status" || arg == "--result" || arg == "--report" ||
-               arg == "--cancel") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      std::string verb = arg.substr(2);
-      for (char& c : verb) c = static_cast<char>(std::toupper(c));
-      command = verb + " " + v;
-    } else if (arg == "--stats") {
-      command = "STATS";
-    } else if (arg == "--metrics") {
-      command = "METRICS";
-    } else if (arg == "--ping") {
-      command = "PING";
-    } else if (arg == "--shutdown") {
-      command = "SHUTDOWN";
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option: %s\n\n", arg.c_str());
-      printUsage();
-      return 2;
-    } else {
-      jobTokens.push_back(arg);
     }
+  } catch (const engine::EngineError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
   if (port == 0 || port > 65535) {
     std::fprintf(stderr, "--port is required (1-65535)\n");
