@@ -330,6 +330,61 @@ void BM_LikelihoodDeltaReplaceOnePass(benchmark::State& state) {
 }
 BENCHMARK(BM_LikelihoodDeltaReplaceOnePass);
 
+// Gate pair for the batched row geometry: the reference computes each
+// disc's row spans one img::discRowSpan at a time, the candidate with one
+// SpanKernels::discRows call per disc, on the same r~10 discs of a 256x256
+// raster. The two write identical spans (test_likelihood_kernels pins that).
+
+struct GeometryDisc {
+  double cx, cy, r;
+  img::RowRange rows;
+};
+
+const std::vector<GeometryDisc>& geometryDiscs() {
+  static const std::vector<GeometryDisc> discs = [] {
+    rng::Stream s(31);
+    std::vector<GeometryDisc> out;
+    for (int i = 0; i < 256; ++i) {
+      const double cy = s.uniform(12, 244);
+      const double r = s.normal(10.0, 1.2);
+      out.push_back({s.uniform(12, 244), cy, r, img::discRowRange(cy, r, 256)});
+    }
+    return out;
+  }();
+  return discs;
+}
+
+template <typename DiscRows>
+void runDiscRowsPair(benchmark::State& state, DiscRows&& discRows) {
+  const std::vector<GeometryDisc>& discs = geometryDiscs();
+  std::vector<img::RowSpan> spans(256);
+  for (auto _ : state) {
+    for (const GeometryDisc& d : discs) {
+      discRows(d, spans.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(discs.size()));
+}
+
+void BM_DiscRowsPerRow(benchmark::State& state) {
+  runDiscRowsPair(state, [](const GeometryDisc& d, img::RowSpan* out) {
+    for (int y = d.rows.y0; y <= d.rows.y1; ++y) {
+      out[y - d.rows.y0] = img::discRowSpan(d.cx, d.cy, d.r, y, 256);
+    }
+  });
+}
+BENCHMARK(BM_DiscRowsPerRow);
+
+void BM_DiscRowsBatched(benchmark::State& state) {
+  const model::kernels::SpanKernels& k = model::kernels::spanKernels();
+  runDiscRowsPair(state, [&k](const GeometryDisc& d, img::RowSpan* out) {
+    k.discRows(d.cx, d.cy, d.r, d.rows, 256, out);
+  });
+}
+BENCHMARK(BM_DiscRowsBatched);
+
 void BM_FullPosteriorRecompute(benchmark::State& state) {
   model::ModelState s = microState(256, 30, 15);
   for (auto _ : state) {

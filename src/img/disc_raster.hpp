@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "img/image.hpp"
+#include "img/row_span.hpp"
 
 namespace mcmcpar::img {
 
@@ -33,10 +34,6 @@ struct Span {
 /// bound used previously visited one extra row per disc that the
 /// `disc < 0` guard then rejected at the cost of the dy² test.
 /// Empty iff y0 > y1.
-struct RowRange {
-  int y0;
-  int y1;
-};
 [[nodiscard]] inline RowRange discRowRange(double cy, double r,
                                            int height) noexcept {
   const int y0 = static_cast<int>(std::ceil(std::max(cy - r - 0.5, 0.0)));
@@ -48,11 +45,9 @@ struct RowRange {
 /// Column span [x0, x1) of the disc on raster row y, clipped to [0, width).
 /// Empty (x0 >= x1) when the row does not intersect the disc. One sqrt.
 /// The clamps happen in double before the int casts, so arbitrarily large
-/// radii/centres cannot overflow the conversion.
-struct RowSpan {
-  int x0;
-  int x1;
-};
+/// radii/centres cannot overflow the conversion. This is the one definition
+/// of a disc's pixel set: kernels::SpanKernels::discRows batches it and must
+/// return the same spans bit for bit.
 [[nodiscard]] inline RowSpan discRowSpan(double cx, double cy, double r, int y,
                                          int width) noexcept {
   const double dy = (static_cast<double>(y) + 0.5) - cy;
@@ -95,10 +90,12 @@ struct RowSpan {
 }
 
 /// Invoke fn(y, x0, x1) for every non-empty row span of the disc clipped to a
-/// width x height raster (x1 exclusive). This is the primitive the likelihood
-/// kernels walk: one sqrt per row, and the [x0, x1) payload is contiguous in
-/// memory, so the per-span work vectorises. forEachDiscPixel and discSpans
-/// are thin wrappers, guaranteeing all three enumerate identical pixel sets.
+/// width x height raster (x1 exclusive): one sqrt per row, and the [x0, x1)
+/// payload is contiguous in memory, so the per-span work vectorises. The
+/// likelihood visits exactly these rows and spans, with the spans computed
+/// in one batched call per disc (kernels::SpanKernels::discRows).
+/// forEachDiscPixel and discSpans are thin wrappers, guaranteeing all three
+/// enumerate identical pixel sets.
 template <typename Fn>
 void forEachDiscSpan(double cx, double cy, double r, int width, int height,
                      Fn&& fn) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "img/disc_raster.hpp"
@@ -12,8 +11,9 @@
 
 namespace mcmcpar::model {
 
-// Every delta/apply method walks the disc as contiguous row spans
-// (img::forEachDiscSpan) and hands each span to the vectorised kernels in
+// Every delta/apply method computes each disc's row spans with one batched
+// geometry call (SpanKernels::discRows, the spans img::discRowSpan gives,
+// bit for bit) and hands each span to the vectorised kernels in
 // model/likelihood_kernels.*, looked up once per call (spanKernels()); delta
 // spans shorter than one lane bank run inline. Span results are folded in
 // row order into a plain double (move deltas) or a KahanSum (whole-image
@@ -86,43 +86,57 @@ double spanOutsideCut(const float* gainRow, const std::uint16_t* covRow,
   return delta;
 }
 
-/// The rows img::forEachDiscSpan visits for a disc; an empty range is
-/// normalised to {INT_MAX, INT_MIN} so unions are a plain min/max.
+/// The rows img::forEachDiscSpan visits for a disc (empty: y0 > y1).
 img::RowRange visitedRows(double cy, double r, int width, int height) noexcept {
-  constexpr img::RowRange kNone{std::numeric_limits<int>::max(),
-                                std::numeric_limits<int>::min()};
-  if (!(r > 0.0) || width <= 0 || height <= 0) return kNone;
-  const img::RowRange rows = img::discRowRange(cy, r, height);
-  return rows.y0 <= rows.y1 ? rows : kNone;
+  if (!(r > 0.0) || width <= 0 || height <= 0) return {0, -1};
+  return img::discRowRange(cy, r, height);
+}
+
+/// Rows per batched geometry call where the spans live on the stack, so a
+/// giant disc is walked in bounded chunks.
+constexpr int kRowChunk = 64;
+
+/// img::forEachDiscSpan with the spans computed by `k.discRows`, at most
+/// kRowChunk rows per call: fn(y, span) for every non-empty row span of the
+/// disc, in row order.
+template <typename Fn>
+void forEachDiscSpan(const kernels::SpanKernels& k, double cx, double cy,
+                     double r, int width, int height, Fn&& fn) noexcept {
+  const img::RowRange rows = visitedRows(cy, r, width, height);
+  img::RowSpan spans[kRowChunk];
+  for (int c0 = rows.y0; c0 <= rows.y1; c0 += kRowChunk) {
+    const int c1 = std::min(rows.y1, c0 + (kRowChunk - 1));
+    k.discRows(cx, cy, r, img::RowRange{c0, c1}, width, spans);
+    for (int y = c0; y <= c1; ++y) {
+      const img::RowSpan span = spans[y - c0];
+      if (span.x0 < span.x1) fn(y, span);
+    }
+  }
 }
 
 }  // namespace
 
 double PixelLikelihood::deltaAdd(const Circle& c) const noexcept {
-  const kernels::SpanDeltaFn kernel = kernels::spanKernels().deltaAdd;
+  const kernels::SpanKernels& k = kernels::spanKernels();
   double delta = 0.0;
-  const double lx = c.x - originX_;
-  const double ly = c.y - originY_;
-  img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
-                       [&](int y, int x0, int x1) noexcept {
-                         delta += spanDelta<kernels::shortSpanDeltaAdd>(
-                             kernel, gain_.row(y) + x0, coverage_.row(y) + x0,
-                             x1 - x0);
-                       });
+  forEachDiscSpan(k, c.x - originX_, c.y - originY_, c.r, gain_.width(),
+                  gain_.height(), [&](int y, img::RowSpan s) noexcept {
+                    delta += spanDelta<kernels::shortSpanDeltaAdd>(
+                        k.deltaAdd, gain_.row(y) + s.x0,
+                        coverage_.row(y) + s.x0, s.x1 - s.x0);
+                  });
   return delta;
 }
 
 double PixelLikelihood::deltaRemove(const Circle& c) const noexcept {
-  const kernels::SpanDeltaFn kernel = kernels::spanKernels().deltaRemove;
+  const kernels::SpanKernels& k = kernels::spanKernels();
   double delta = 0.0;
-  const double lx = c.x - originX_;
-  const double ly = c.y - originY_;
-  img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
-                       [&](int y, int x0, int x1) noexcept {
-                         delta += spanDelta<kernels::shortSpanDeltaRemove>(
-                             kernel, gain_.row(y) + x0, coverage_.row(y) + x0,
-                             x1 - x0);
-                       });
+  forEachDiscSpan(k, c.x - originX_, c.y - originY_, c.r, gain_.width(),
+                  gain_.height(), [&](int y, img::RowSpan s) noexcept {
+                    delta += spanDelta<kernels::shortSpanDeltaRemove>(
+                        k.deltaRemove, gain_.row(y) + s.x0,
+                        coverage_.row(y) + s.x0, s.x1 - s.x0);
+                  });
   return delta;
 }
 
@@ -134,11 +148,12 @@ double PixelLikelihood::deltaReplace(const Circle& oldC,
   // the apply path, so the two discs' pixel sets can never disagree with an
   // applyRemove+applyAdd of the same circles.
   //
-  // One walk over the union of the discs' rows computes each row's two
-  // spans once; each serves as one disc's own span and as the other's cut.
-  // A disc's own rows are exactly the rows forEachDiscSpan would visit. The
-  // sum keeps the two-disc order: new-disc rows fold into `delta` as they
-  // come, old-disc rows are buffered and fold afterwards, in row order.
+  // Both discs' spans are computed up front, one batched geometry call per
+  // disc over exactly the rows forEachDiscSpan would visit; each span then
+  // serves as its own disc's span and as the other disc's cut. On a row
+  // outside the other disc's rows the cut comes from img::discRowSpan, as
+  // it always did. The sum keeps the two-disc order: every new-disc row in
+  // row order, then every old-disc row.
   const kernels::SpanKernels& k = kernels::spanKernels();
   const int width = gain_.width();
   const int height = gain_.height();
@@ -148,30 +163,45 @@ double PixelLikelihood::deltaReplace(const Circle& oldC,
   const double ny = newC.y - originY_;
   const img::RowRange newRows = visitedRows(ny, newC.r, width, height);
   const img::RowRange oldRows = visitedRows(oy, oldC.r, width, height);
+  const auto rowCount = [](img::RowRange rows) noexcept {
+    return rows.y0 <= rows.y1 ? static_cast<std::size_t>(rows.y1 - rows.y0) + 1
+                              : std::size_t{0};
+  };
   // thread_local: the in-place executor evaluates const deltas concurrently
-  // on one likelihood.
-  thread_local std::vector<double> oldRowDeltas;
-  oldRowDeltas.clear();
+  // on one likelihood. It holds at most two spans per raster row.
+  thread_local std::vector<img::RowSpan> spans;
+  const std::size_t newCount = rowCount(newRows);
+  const std::size_t spanCount = newCount + rowCount(oldRows);
+  if (spans.size() < spanCount) spans.resize(spanCount);
+  img::RowSpan* const newSpans = spans.data();
+  img::RowSpan* const oldSpans = newSpans + newCount;
+  k.discRows(nx, ny, newC.r, newRows, width, newSpans);
+  k.discRows(ox, oy, oldC.r, oldRows, width, oldSpans);
+  const auto oldCut = [&](int y) noexcept {
+    return y >= oldRows.y0 && y <= oldRows.y1
+               ? oldSpans[y - oldRows.y0]
+               : img::discRowSpan(ox, oy, oldC.r, y, width);
+  };
+  const auto newCut = [&](int y) noexcept {
+    return y >= newRows.y0 && y <= newRows.y1
+               ? newSpans[y - newRows.y0]
+               : img::discRowSpan(nx, ny, newC.r, y, width);
+  };
   double delta = 0.0;
-  const int yEnd = std::max(newRows.y1, oldRows.y1);
-  for (int y = std::min(newRows.y0, oldRows.y0); y <= yEnd; ++y) {
-    const bool inNew = y >= newRows.y0 && y <= newRows.y1;
-    const bool inOld = y >= oldRows.y0 && y <= oldRows.y1;
-    if (!inNew && !inOld) continue;
-    const img::RowSpan newSpan = img::discRowSpan(nx, ny, newC.r, y, width);
-    const img::RowSpan oldSpan = img::discRowSpan(ox, oy, oldC.r, y, width);
-    const float* gainRow = gain_.row(y);
-    const std::uint16_t* covRow = coverage_.row(y);
-    if (inNew && newSpan.x0 < newSpan.x1) {
+  for (int y = newRows.y0; y <= newRows.y1; ++y) {
+    const img::RowSpan span = newSpans[y - newRows.y0];
+    if (span.x0 < span.x1) {
       delta += spanOutsideCut<kernels::shortSpanDeltaAdd>(
-          gainRow, covRow, newSpan, oldSpan, k.deltaAdd);
-    }
-    if (inOld && oldSpan.x0 < oldSpan.x1) {
-      oldRowDeltas.push_back(spanOutsideCut<kernels::shortSpanDeltaRemove>(
-          gainRow, covRow, oldSpan, newSpan, k.deltaRemove));
+          gain_.row(y), coverage_.row(y), span, oldCut(y), k.deltaAdd);
     }
   }
-  for (const double rowDelta : oldRowDeltas) delta += rowDelta;
+  for (int y = oldRows.y0; y <= oldRows.y1; ++y) {
+    const img::RowSpan span = oldSpans[y - oldRows.y0];
+    if (span.x0 < span.x1) {
+      delta += spanOutsideCut<kernels::shortSpanDeltaRemove>(
+          gain_.row(y), coverage_.row(y), span, newCut(y), k.deltaRemove);
+    }
+  }
   return delta;
 }
 
@@ -200,13 +230,27 @@ double PixelLikelihood::deltaMultiple(std::span<const Circle> removed,
   if (x1 < x0 || y1 < y0) return 0.0;
   const int bboxWidth = x1 - x0 + 1;
 
-  // Per-row coverage deltas, rebuilt from the circles' row spans (one sqrt
-  // per circle per row; every disc span lies inside the bounding box). Each
-  // span marks +1 at its start and -1 past its end in a difference row; a
-  // running sum over the row's extent turns that into the per-pixel counts
-  // and zeroes the difference row for the next one. The buffers are
-  // thread_local because const delta evaluation may run concurrently on the
-  // same likelihood (in-place executor).
+  // Per-row coverage deltas, rebuilt from the circles' row spans over the
+  // bounding box's rows (one batched geometry call per circle, circle-major;
+  // every disc span lies inside the bounding box). Each span marks +1 at its
+  // start and -1 past its end in a difference row; a running sum over the
+  // row's extent turns that into the per-pixel counts and zeroes the
+  // difference row for the next one. The buffers are thread_local because
+  // const delta evaluation may run concurrently on the same likelihood
+  // (in-place executor).
+  const kernels::SpanKernels& k = kernels::spanKernels();
+  const std::size_t rowCount = static_cast<std::size_t>(y1 - y0) + 1;
+  const std::size_t discCount = removed.size() + added.size();
+  thread_local std::vector<img::RowSpan> spans;
+  if (spans.size() < discCount * rowCount) spans.resize(discCount * rowCount);
+  img::RowSpan* discRows = spans.data();
+  for (const std::span<const Circle> side : {removed, added}) {
+    for (const Circle& c : side) {
+      k.discRows(c.x - originX_, c.y - originY_, c.r, img::RowRange{y0, y1},
+                 gain_.width(), discRows);
+      discRows += rowCount;
+    }
+  }
   const std::size_t rowLength = static_cast<std::size_t>(bboxWidth) + 1;
   thread_local std::vector<std::int16_t> diffs;   // all zero between rows
   thread_local std::vector<std::int16_t> counts;  // written before read
@@ -218,25 +262,22 @@ double PixelLikelihood::deltaMultiple(std::span<const Circle> removed,
   std::int16_t* diffNew = diffOld + rowLength;
   std::int16_t* dOld = counts.data();
   std::int16_t* dNew = dOld + rowLength;
-  const kernels::SpanTransitionFn transition =
-      kernels::spanKernels().transitionDelta;
 
   double delta = 0.0;
   for (int y = y0; y <= y1; ++y) {
     int rowMin = x1 + 1;
     int rowMax = x0 - 1;
-    const auto mark = [&](const Circle& c, std::int16_t* diff) noexcept {
-      const img::RowSpan s = img::discRowSpan(
-          c.x - originX_, c.y - originY_, c.r, y, gain_.width());
-      if (s.x0 >= s.x1) return;
+    const std::size_t row = static_cast<std::size_t>(y - y0);
+    for (std::size_t i = 0; i < discCount; ++i) {
+      const img::RowSpan s = spans[i * rowCount + row];
+      if (s.x0 >= s.x1) continue;
       assert(s.x0 >= x0 && s.x1 <= x1 + 1);
       rowMin = std::min(rowMin, s.x0);
       rowMax = std::max(rowMax, s.x1 - 1);
+      std::int16_t* diff = i < removed.size() ? diffOld : diffNew;
       ++diff[s.x0 - x0];
       --diff[s.x1 - x0];
-    };
-    for (const Circle& c : removed) mark(c, diffOld);
-    for (const Circle& c : added) mark(c, diffNew);
+    }
     if (rowMin > rowMax) continue;
     const auto off = static_cast<std::size_t>(rowMin - x0);
     const auto n = static_cast<std::size_t>(rowMax - rowMin + 1);
@@ -252,37 +293,34 @@ double PixelLikelihood::deltaMultiple(std::span<const Circle> removed,
     }
     diffOld[off + n] = 0;
     diffNew[off + n] = 0;
-    delta += transition(gain_.row(y) + rowMin, coverage_.row(y) + rowMin,
-                        dOld + off, dNew + off, n);
+    delta += k.transitionDelta(gain_.row(y) + rowMin,
+                               coverage_.row(y) + rowMin, dOld + off,
+                               dNew + off, n);
   }
   return delta;
 }
 
 double PixelLikelihood::applyAdd(const Circle& c) noexcept {
-  const kernels::SpanApplyFn kernel = kernels::spanKernels().applyAdd;
+  const kernels::SpanKernels& k = kernels::spanKernels();
   double delta = 0.0;
-  const double lx = c.x - originX_;
-  const double ly = c.y - originY_;
-  img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
-                       [&](int y, int x0, int x1) noexcept {
-                         delta += kernel(
-                             gain_.row(y) + x0, coverage_.row(y) + x0,
-                             static_cast<std::size_t>(x1 - x0));
-                       });
+  forEachDiscSpan(k, c.x - originX_, c.y - originY_, c.r, gain_.width(),
+                  gain_.height(), [&](int y, img::RowSpan s) noexcept {
+                    delta += k.applyAdd(
+                        gain_.row(y) + s.x0, coverage_.row(y) + s.x0,
+                        static_cast<std::size_t>(s.x1 - s.x0));
+                  });
   return delta;
 }
 
 double PixelLikelihood::applyRemove(const Circle& c) noexcept {
-  const kernels::SpanApplyFn kernel = kernels::spanKernels().applyRemove;
+  const kernels::SpanKernels& k = kernels::spanKernels();
   double delta = 0.0;
-  const double lx = c.x - originX_;
-  const double ly = c.y - originY_;
-  img::forEachDiscSpan(lx, ly, c.r, gain_.width(), gain_.height(),
-                       [&](int y, int x0, int x1) noexcept {
-                         delta += kernel(
-                             gain_.row(y) + x0, coverage_.row(y) + x0,
-                             static_cast<std::size_t>(x1 - x0));
-                       });
+  forEachDiscSpan(k, c.x - originX_, c.y - originY_, c.r, gain_.width(),
+                  gain_.height(), [&](int y, img::RowSpan s) noexcept {
+                    delta += k.applyRemove(
+                        gain_.row(y) + s.x0, coverage_.row(y) + s.x0,
+                        static_cast<std::size_t>(s.x1 - s.x0));
+                  });
   return delta;
 }
 

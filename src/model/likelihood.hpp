@@ -36,10 +36,11 @@ struct LikelihoodParams {
 /// accumulate deltas thread-locally (coverage writes are disjoint by the
 /// partition legality rules; the scalar total would otherwise be a race).
 ///
-/// Hot path: every method walks the disc as contiguous row spans
-/// (img::forEachDiscSpan) and sums each span with the vectorised kernels in
-/// model/likelihood_kernels.hpp; deltaReplace walks both discs' rows in one
-/// pass. The kernels' fixed-lane accumulation makes every delta
+/// Hot path: every method computes a disc's contiguous row spans with one
+/// batched geometry call (kernels::SpanKernels::discRows, bit-identical to
+/// img::forEachDiscSpan's) and sums each span with the vectorised kernels in
+/// model/likelihood_kernels.hpp; deltaReplace computes each disc's spans
+/// once and uses them both as that disc's spans and as the other's cuts. The kernels' fixed-lane accumulation makes every delta
 /// bit-reproducible across backends (scalar/omp-simd/AVX2) and machines —
 /// see the determinism policy in that header.
 class PixelLikelihood {

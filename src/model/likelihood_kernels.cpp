@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "img/disc_raster.hpp"
+
 #if defined(MCMCPAR_HAVE_AVX2_KERNELS)
 #include "model/likelihood_kernels_avx2.hpp"
 #endif
@@ -164,6 +166,13 @@ double scalarTransitionDelta(const float* gain, const std::uint16_t* cov,
   return combineLanes(lanes);
 }
 
+void scalarDiscRows(double cx, double cy, double r, img::RowRange rows,
+                    int width, img::RowSpan* out) noexcept {
+  for (int y = rows.y0; y <= rows.y1; ++y) {
+    *out++ = img::discRowSpan(cx, cy, r, y, width);
+  }
+}
+
 // The debug check fires for every backend; the AVX2 TU has no asserts of its
 // own.
 template <SpanApplyFn Impl>
@@ -180,13 +189,22 @@ double checkedApplyRemove(const float* gain, std::uint16_t* cov,
 constexpr SpanKernels kScalarKernels{
     scalarDeltaAdd,  scalarDeltaRemove,
     scalarApplyAdd,  checkedApplyRemove<scalarApplyRemove>,
-    scalarSumCovered, scalarTransitionDelta};
+    scalarSumCovered, scalarTransitionDelta,
+    scalarDiscRows};
 
 #if defined(MCMCPAR_HAVE_AVX2_KERNELS)
+// The AVX2 geometry hands rim rows back to img::discRowSpan, which only a TU
+// built without -mavx2 may instantiate; this wrapper passes it in.
+void avx2DiscRows(double cx, double cy, double r, img::RowRange rows,
+                  int width, img::RowSpan* out) noexcept {
+  avx2::discRows(cx, cy, r, rows, width, out, img::discRowSpan);
+}
+
 constexpr SpanKernels kAvx2Kernels{
     avx2::spanDeltaAdd,   avx2::spanDeltaRemove,
     avx2::spanApplyAdd,   checkedApplyRemove<avx2::spanApplyRemove>,
-    avx2::spanSumCovered, avx2::spanTransitionDelta};
+    avx2::spanSumCovered, avx2::spanTransitionDelta,
+    avx2DiscRows};
 #endif
 
 Backend detectBackend() noexcept {

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "img/row_span.hpp"
+
 namespace mcmcpar::model::kernels {
 
 /// Row-span accumulation kernels of the likelihood hot path.
@@ -30,6 +32,10 @@ namespace mcmcpar::model::kernels {
 ///  * Cross-span/cross-row totals are the caller's job and must be summed in
 ///    row order (PixelLikelihood uses a plain double for move deltas and a
 ///    KahanSum for whole-image totals).
+///  * The row geometry (SpanKernels::discRows) returns, on every backend,
+///    exactly the spans img::discRowSpan computes: the AVX2 lanes run that
+///    function's IEEE operations in the same order, and any row its slack
+///    test would send to the rim nudge is handed to img::discRowSpan itself.
 inline constexpr std::size_t kLanes = 8;
 
 /// Which implementation the span kernels dispatch to.
@@ -65,6 +71,9 @@ using SpanTransitionFn = double (*)(const float* gain,
                                     const std::int16_t* dOld,
                                     const std::int16_t* dNew,
                                     std::size_t n) noexcept;
+using DiscRowsFn = void (*)(double cx, double cy, double r,
+                            img::RowRange rows, int width,
+                            img::RowSpan* out) noexcept;
 
 /// One backend's span kernels. A likelihood method looks the table up once
 /// per call (spanKernels()) and then calls through it for every span, so the
@@ -87,6 +96,11 @@ struct SpanKernels {
   /// has count cov[i], loses dOld[i] discs and gains dNew[i]; the result sums
   /// +gain where the pixel becomes covered and -gain where it becomes bare.
   SpanTransitionFn transitionDelta;
+  /// Row geometry of a disc: out[k] = img::discRowSpan(cx, cy, r,
+  /// rows.y0 + k, width) bit for bit, for every row of `rows` (inside the
+  /// raster; nothing is written when the range is empty). One call per disc
+  /// lets a backend compute several rows per instruction.
+  DiscRowsFn discRows;
 };
 
 /// The kernel table of the active backend.

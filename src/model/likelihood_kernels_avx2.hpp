@@ -12,6 +12,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "img/row_span.hpp"
+
 namespace mcmcpar::model::kernels::avx2 {
 
 double spanDeltaAdd(const float* gain, const std::uint16_t* cov,
@@ -27,5 +29,15 @@ double spanSumCovered(const float* gain, const std::uint16_t* cov,
 double spanTransitionDelta(const float* gain, const std::uint16_t* cov,
                            const std::int16_t* dOld, const std::int16_t* dNew,
                            std::size_t n) noexcept;
+
+/// Scalar geometry of one row (img::discRowSpan, passed in by the caller
+/// from a TU built without -mavx2).
+using RowSpanFn = img::RowSpan (*)(double cx, double cy, double r, int y,
+                                   int width) noexcept;
+
+/// SpanKernels::discRows, four rows per vector; rows whose span needs the
+/// rim nudge (or whose arithmetic met a NaN) are computed by `scalarRowSpan`.
+void discRows(double cx, double cy, double r, img::RowRange rows, int width,
+              img::RowSpan* out, RowSpanFn scalarRowSpan) noexcept;
 
 }  // namespace mcmcpar::model::kernels::avx2

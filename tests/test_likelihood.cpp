@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "img/disc_raster.hpp"
@@ -259,6 +260,120 @@ TEST(PixelLikelihood, DeltaReplaceBitMatchesTwoPassReference) {
             << " old " << oldC.x << "," << oldC.y << "," << oldC.r << " new "
             << newC.x << "," << newC.y << "," << newC.r << " (applied)";
         EXPECT_EQ(lik.applyRemove(oldC), -added);
+      }
+    }
+  }
+  kernels::setBackend(saved);
+}
+
+/// Gains whose double sums round (see DeltaReplaceBitMatchesTwoPassReference
+/// for why a plain random image cannot catch a changed summation order).
+img::ImageF twoClusterImage(int w, int h, std::uint64_t seed) {
+  rng::Stream pixels(seed);
+  img::ImageF im(w, h);
+  for (float& v : im.pixels()) {
+    const int exponent =
+        pixels.uniform() < 0.5 ? 0 : -30 - static_cast<int>(pixels.below(3));
+    const double magnitude =
+        (1.0 + pixels.uniform()) * std::ldexp(1.0, exponent);
+    v = static_cast<float>(pixels.uniform() < 0.5 ? -magnitude : magnitude);
+  }
+  return im;
+}
+
+// Per-row reference for the single-disc methods: img::forEachDiscSpan's
+// spans (one img::discRowSpan per row), one kernel dispatch per span,
+// folded in row order. The apply references run on a copy of the coverage.
+template <typename Coverage, typename Kernel>
+double perRowSum(const PixelLikelihood& lik, const Circle& c, Coverage& cov,
+                 Kernel&& kernel) {
+  const img::ImageF& gain = lik.gainRaster();
+  double delta = 0.0;
+  img::forEachDiscSpan(c.x - lik.originX(), c.y - lik.originY(), c.r,
+                       gain.width(), gain.height(), [&](int y, int x0, int x1) {
+                         delta += kernel(gain.row(y) + x0, cov.row(y) + x0,
+                                         static_cast<std::size_t>(x1 - x0));
+                       });
+  return delta;
+}
+
+TEST(PixelLikelihood, DeltaAndApplyBitMatchPerRowReference) {
+  // Taller than one 64-row geometry chunk, so big discs span two.
+  const img::ImageF full = twoClusterImage(80, 150, 27);
+  const LikelihoodParams wideGains{0.5, -0.5, 0.25};
+  const kernels::Backend saved = kernels::activeBackend();
+  for (kernels::Backend backend :
+       {kernels::Backend::Scalar, kernels::Backend::Avx2}) {
+    if (!kernels::setBackend(backend)) continue;  // AVX2 unavailable
+    for (const auto& [ox, oy] : {std::pair{0, 0}, std::pair{12, 8}}) {
+      const int w = full.width() - ox - 5 * (ox > 0);
+      const int h = full.height() - oy - 3 * (oy > 0);
+      PixelLikelihood lik(full.crop(ox, oy, w, h), wideGains, ox, oy);
+      rng::Stream s(28);
+      const double px = ox + 20.5;  // a pixel centre
+      const double py = oy + 30.5;
+      std::vector<Circle> circles = {
+          // Clipped at the left, right, top and bottom edge; wholly outside.
+          {ox + 0.5, oy + 40.0, 6},
+          {ox + w - 0.5, oy + 40.0, 6},
+          {ox + 30.0, oy + 0.5, 6},
+          {ox + 30.0, oy + h - 0.5, 6},
+          {ox - 20.0, oy - 20.0, 5},
+          {ox + w + 30.0, oy + 10.0, 9},
+          // Crossing the 64-row chunk; covering everything.
+          {ox + 40.0, oy + 70.0, 50},
+          {ox + 40.0, oy + 75.0, 1e6},
+          // Rims through pixel centres and thinner than a pixel.
+          {px + 3, py + 4, 5},
+          {px, py, 3.0},
+          {px + 0.1, py + 0.37, 0.6},
+          // Radii that visit no row at all.
+          {px, py, 0.0},
+          {px, py, -3.0},
+      };
+      // Every tenth disc spans more than one 64-row chunk.
+      for (int i = 0; i < 400; ++i) {
+        circles.push_back(Circle{s.uniform(ox - 8, ox + w + 8),
+                                 s.uniform(oy - 8, oy + h + 8),
+                                 i % 10 == 0 ? s.uniform(33, 70)
+                                             : s.uniform(0.2, 20)});
+      }
+      for (const Circle& c : circles) {
+        const std::string where =
+            std::string(kernels::backendName()) + " origin " +
+            std::to_string(ox) + "," + std::to_string(oy) + " circle " +
+            std::to_string(c.x) + "," + std::to_string(c.y) + "," +
+            std::to_string(c.r);
+        img::Image<std::uint16_t> cov = lik.coverageRaster();
+        EXPECT_EQ(lik.deltaAdd(c),
+                  perRowSum(lik, c, cov, kernels::spanDeltaAdd))
+            << where;
+        const double added = perRowSum(lik, c, cov, kernels::spanApplyAdd);
+        EXPECT_EQ(lik.applyAdd(c), added) << where;
+        EXPECT_TRUE(lik.coverageRaster() == cov) << where;
+        EXPECT_EQ(lik.deltaRemove(c),
+                  perRowSum(lik, c, cov, kernels::spanDeltaRemove))
+            << where;
+        // Keep about a third applied, so coverage counts of 0, 1 and 2+
+        // lie under later discs.
+        if (s.uniform() < 0.35) continue;
+        const double removed =
+            perRowSum(lik, c, cov, kernels::spanApplyRemove);
+        EXPECT_EQ(lik.applyRemove(c), removed) << where;
+        EXPECT_TRUE(lik.coverageRaster() == cov) << where;
+        // A partner with no rows of its own (r <= 0; r*r still gives it
+        // pixels) can only be cut out through the per-row img::discRowSpan.
+        const double cx = std::floor(c.x) + 0.5;
+        const double cy = std::floor(c.y) + 0.5;
+        for (const Circle& other :
+             {Circle{cx, cy, 0.0}, Circle{cx, cy, -2.0}}) {
+          EXPECT_EQ(lik.deltaReplace(other, c),
+                    twoPassDeltaReplace(lik, other, c))
+              << where;
+          EXPECT_EQ(lik.deltaReplace(c, other),
+                    twoPassDeltaReplace(lik, c, other))
+              << where;
+        }
       }
     }
   }

@@ -3,12 +3,15 @@
 // enforce): delta/apply consistency is bit-exact, the scalar and AVX2
 // backends and the inline short-span path are bit-identical, resynchronise
 // bit-matches the from-scratch reference, and the uint16 coverage guard
-// rails (clamp at 0, saturate at 65535) hold.
+// rails (clamp at 0, saturate at 65535) hold. The batched row geometry
+// returns img::discRowSpan's spans bit for bit on every backend.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "img/disc_raster.hpp"
@@ -336,6 +339,127 @@ TEST(LikelihoodKernels, WholeLikelihoodIsBackendInvariant) {
   ASSERT_EQ(scalar.size(), avx2.size());
   for (std::size_t i = 0; i < scalar.size(); ++i) {
     EXPECT_EQ(scalar[i], avx2[i]) << "value " << i;
+  }
+}
+
+/// One disc and a row range to run SpanKernels::discRows over.
+struct GeometryCase {
+  double cx, cy, r;
+  int width;
+  img::RowRange rows;
+};
+
+/// Compare discRows against the per-row img::discRowSpan on every row of
+/// `c.rows`, and check that nothing past the last row is written.
+void expectDiscRowsMatch(const GeometryCase& c) {
+  const int n = c.rows.y1 - c.rows.y0 + 1;
+  const img::RowSpan guardSpan{-7, -7};
+  std::vector<img::RowSpan> out(static_cast<std::size_t>(std::max(n, 0)) + 1,
+                                guardSpan);
+  k::spanKernels().discRows(c.cx, c.cy, c.r, c.rows, c.width, out.data());
+  for (int i = 0; i < n; ++i) {
+    const int y = c.rows.y0 + i;
+    const img::RowSpan want = img::discRowSpan(c.cx, c.cy, c.r, y, c.width);
+    const img::RowSpan got = out[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(got.x0 == want.x0 && got.x1 == want.x1)
+        << k::backendName() << std::hexfloat << " disc " << c.cx << ","
+        << c.cy << "," << c.r << std::defaultfloat << " width " << c.width
+        << " row " << y << ": got [" << got.x0 << "," << got.x1
+        << ") want [" << want.x0 << "," << want.x1 << ")";
+  }
+  const img::RowSpan after = out.back();
+  ASSERT_TRUE(after.x0 == guardSpan.x0 && after.x1 == guardSpan.x1)
+      << k::backendName() << " wrote past the last of " << n << " rows";
+}
+
+std::vector<GeometryCase> geometryCases() {
+  rng::Stream s(401);
+  std::vector<GeometryCase> cases;
+  const auto discRows = [](double cx, double cy, double r, int width,
+                           int height) {
+    return GeometryCase{cx, cy, r, width, img::discRowRange(cy, r, height)};
+  };
+  // Random discs, half over their own clipped rows and half over a random
+  // row window of the raster (the bounding-box rows of a split or merge,
+  // mostly outside the disc); lengths cross the 4-row vectors and the
+  // 64-row chunks of the likelihood's stack buffers.
+  for (int i = 0; i < 100000; ++i) {
+    const int width = 1 + static_cast<int>(s.below(160));
+    const int height = 1 + static_cast<int>(s.below(160));
+    const double cx = s.uniform(-25, width + 25);
+    const double cy = s.uniform(-25, height + 25);
+    const double r =
+        s.uniform() < 0.1 ? s.uniform(0.0, 1.0) : s.uniform(0.0, 45.0);
+    if (i % 2 == 0) {
+      cases.push_back(discRows(cx, cy, r, width, height));
+    } else {
+      const int y0 =
+          static_cast<int>(s.below(static_cast<std::uint64_t>(height)));
+      const int len = static_cast<int>(
+          s.below(static_cast<std::uint64_t>(height - y0) + 1));
+      cases.push_back({cx, cy, r, width, {y0, y0 + len - 1}});
+    }
+  }
+  // Integer and half-integer centres and radii: pixel centres land exactly
+  // on the rim and span endpoints on exact integers.
+  for (int i = 0; i < 4000; ++i) {
+    const double cx = 0.5 * static_cast<double>(s.below(120)) - 10.0;
+    const double cy = 0.5 * static_cast<double>(s.below(120)) - 10.0;
+    const double r = 0.5 * static_cast<double>(s.below(60));
+    cases.push_back(discRows(cx, cy, r, 40, 40));
+  }
+  // Pythagorean rims: the pixel centre (40.5, 40.5) at offset (3t, 4t) or
+  // (4t, 3t), in either direction, from a centre of radius 5t. At t = 0.2
+  // this is the 0.6/0.8/1.0 triangle, whose squares round; at integer t
+  // they are exact.
+  for (const double t : {0.2, 0.4, 0.6, 1.0, 1.4, 2.0, 3.0, 5.0, 7.0}) {
+    for (const auto& [dx, dy] : {std::pair{3.0, 4.0}, std::pair{4.0, 3.0}}) {
+      for (const double sx : {-1.0, 1.0}) {
+        for (const double sy : {-1.0, 1.0}) {
+          cases.push_back(discRows(40.5 + sx * dx * t, 40.5 + sy * dy * t,
+                                   5 * t, 96, 96));
+        }
+      }
+    }
+  }
+  // Discs clipped at each edge and fully outside the raster.
+  for (const double r : {0.4, 3.0, 12.5}) {
+    for (const auto& [cx, cy] :
+         {std::pair{0.2, 20.0}, std::pair{39.7, 20.0}, std::pair{20.0, 0.1},
+          std::pair{20.0, 39.9}, std::pair{-0.5, -0.5}, std::pair{40.5, 40.5},
+          std::pair{-30.0, 20.0}, std::pair{70.0, 20.0},
+          std::pair{20.0, -30.0}, std::pair{20.0, 70.0}}) {
+      cases.push_back(discRows(cx, cy, r, 40, 40));
+      cases.push_back({cx, cy, r, 40, {0, 39}});
+    }
+  }
+  // Giant radii and centres: the clamps carry the span (r*r may overflow
+  // to infinity, and the slack test meets inf and NaN). A giant centre row
+  // offset with an infinite r*r is left out: its inf - inf would send
+  // img::discRowSpan itself through a NaN-to-int cast.
+  for (const double r : {1e6, 1e12, 1e155, 1e200}) {
+    for (const double c : {20.0, -1e9, 1e9, 1e300}) {
+      cases.push_back({c, 20.0, r, 40, {0, 39}});
+      if (c < 1e300 || r < 1e150) cases.push_back({20.0, c, r, 40, {0, 39}});
+    }
+  }
+  // Row counts around the 4-row vector and the 64-row chunk boundaries.
+  for (int len = 1; len <= 140; ++len) {
+    cases.push_back({70.3, 70.7, 60.0, 150, {3, 3 + len - 1}});
+  }
+  return cases;
+}
+
+TEST(LikelihoodKernels, DiscRowsBitMatchDiscRowSpan) {
+  BackendGuard guard;
+  const std::vector<GeometryCase> cases = geometryCases();
+  for (k::Backend b : {k::Backend::Scalar, k::Backend::Avx2}) {
+    if (b == k::Backend::Avx2 && !k::avx2Available()) continue;
+    ASSERT_TRUE(k::setBackend(b));
+    for (const GeometryCase& c : cases) {
+      expectDiscRowsMatch(c);
+      if (HasFatalFailure()) return;
+    }
   }
 }
 
