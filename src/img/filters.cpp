@@ -1,6 +1,6 @@
 #include "img/filters.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 namespace mcmcpar::img {
 
@@ -28,94 +28,6 @@ std::size_t countAboveThreshold(const ImageF& image, float theta, int x0,
     for (int x = std::max(x0, 0); x < x1; ++x) n += (r[x] > theta);
   }
   return n;
-}
-
-ImageF stainEmphasis(const ImageRgb& image, const StainWeights& weights) {
-  ImageF out(image.width(), image.height());
-  constexpr float kInv255 = 1.0f / 255.0f;
-  for (std::size_t i = 0; i < image.pixelCount(); ++i) {
-    const Rgb px = image.pixels()[i];
-    const float v = weights.bias +
-                    weights.r * static_cast<float>(px.r) * kInv255 +
-                    weights.g * static_cast<float>(px.g) * kInv255 +
-                    weights.b * static_cast<float>(px.b) * kInv255;
-    out.pixels()[i] = std::clamp(v, 0.0f, 1.0f);
-  }
-  return out;
-}
-
-ImageF boxBlur(const ImageF& image, int radius) {
-  if (radius <= 0 || image.empty()) return image;
-  const int w = image.width();
-  const int h = image.height();
-  const float inv = 1.0f / static_cast<float>(2 * radius + 1);
-
-  // Horizontal pass with a running sum; edges clamp to the border pixel.
-  ImageF tmp(w, h);
-  for (int y = 0; y < h; ++y) {
-    const float* src = image.row(y);
-    float* dst = tmp.row(y);
-    float acc = 0.0f;
-    for (int k = -radius; k <= radius; ++k) acc += src[std::clamp(k, 0, w - 1)];
-    for (int x = 0; x < w; ++x) {
-      dst[x] = acc * inv;
-      const int add = std::clamp(x + radius + 1, 0, w - 1);
-      const int sub = std::clamp(x - radius, 0, w - 1);
-      acc += src[add] - src[sub];
-    }
-  }
-
-  // Vertical pass.
-  ImageF out(w, h);
-  std::vector<float> acc(static_cast<std::size_t>(w), 0.0f);
-  for (int x = 0; x < w; ++x) {
-    float a = 0.0f;
-    for (int k = -radius; k <= radius; ++k) {
-      a += tmp(x, std::clamp(k, 0, h - 1));
-    }
-    acc[static_cast<std::size_t>(x)] = a;
-  }
-  for (int y = 0; y < h; ++y) {
-    float* dst = out.row(y);
-    const float* addRow = tmp.row(std::clamp(y + radius + 1, 0, h - 1));
-    const float* subRow = tmp.row(std::clamp(y - radius, 0, h - 1));
-    for (int x = 0; x < w; ++x) {
-      dst[x] = acc[static_cast<std::size_t>(x)] * inv;
-      acc[static_cast<std::size_t>(x)] += addRow[x] - subRow[x];
-    }
-  }
-  return out;
-}
-
-ImageF gaussianBlurApprox(const ImageF& image, float sigma) {
-  if (sigma <= 0.0f) return image;
-  // Three box passes whose combined variance matches sigma^2:
-  // box of half-width r has variance r(r+1)/3 per pass.
-  const int r = std::max(
-      1, static_cast<int>(std::lround(std::sqrt(sigma * sigma) * 0.88f)));
-  return boxBlur(boxBlur(boxBlur(image, r), r), r);
-}
-
-std::vector<bool> columnOccupancy(const ImageF& image, float theta) {
-  std::vector<bool> occ(static_cast<std::size_t>(image.width()), false);
-  for (int y = 0; y < image.height(); ++y) {
-    const float* r = image.row(y);
-    for (int x = 0; x < image.width(); ++x) {
-      if (r[x] > theta) occ[static_cast<std::size_t>(x)] = true;
-    }
-  }
-  return occ;
-}
-
-std::vector<bool> rowOccupancy(const ImageF& image, float theta) {
-  std::vector<bool> occ(static_cast<std::size_t>(image.height()), false);
-  for (int y = 0; y < image.height(); ++y) {
-    const float* r = image.row(y);
-    bool any = false;
-    for (int x = 0; x < image.width(); ++x) any = any || (r[x] > theta);
-    occ[static_cast<std::size_t>(y)] = any;
-  }
-  return occ;
 }
 
 }  // namespace mcmcpar::img

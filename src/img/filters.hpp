@@ -15,33 +15,4 @@ namespace mcmcpar::img {
 [[nodiscard]] std::size_t countAboveThreshold(const ImageF& image, float theta,
                                               int x0, int y0, int w, int h) noexcept;
 
-/// Channel weights for the stain-emphasis filter. The paper "filters the
-/// input image to emphasise the colour of interest"; for haematoxylin-like
-/// stains the red channel is suppressed and blue emphasised.
-struct StainWeights {
-  float r = -0.2f;
-  float g = -0.2f;
-  float b = 1.4f;
-  float bias = 0.0f;
-};
-
-/// Project an RGB image onto a scalar "stain intensity" raster in [0, 1]
-/// using a per-channel linear combination followed by clamping.
-[[nodiscard]] ImageF stainEmphasis(const ImageRgb& image, const StainWeights& weights = {});
-
-/// Separable box blur with half-width `radius` (window 2r+1), edge-clamped.
-/// Used by the synthetic generator to soften disc edges and by the
-/// intelligent partitioner's pre-processing.
-[[nodiscard]] ImageF boxBlur(const ImageF& image, int radius);
-
-/// 3-pass box blur approximating a Gaussian of the given sigma.
-[[nodiscard]] ImageF gaussianBlurApprox(const ImageF& image, float sigma);
-
-/// Per-column "any pixel above theta" occupancy (length = width).
-/// Used by the intelligent partitioner to find empty columns.
-[[nodiscard]] std::vector<bool> columnOccupancy(const ImageF& image, float theta);
-
-/// Per-row "any pixel above theta" occupancy (length = height).
-[[nodiscard]] std::vector<bool> rowOccupancy(const ImageF& image, float theta);
-
 }  // namespace mcmcpar::img

@@ -342,17 +342,6 @@ bool JobQueue::closed() const {
   return closed_;
 }
 
-void JobQueue::cancelAll() {
-  std::vector<std::uint64_t> active;
-  {
-    const std::scoped_lock lock(mutex_);
-    for (const auto& [id, record] : records_) {
-      if (!isTerminal(record.state)) active.push_back(id);
-    }
-  }
-  for (const std::uint64_t id : active) (void)cancel(id);
-}
-
 bool JobQueue::waitIdle(double timeoutSeconds) {
   std::unique_lock lock(mutex_);
   const auto deadline =

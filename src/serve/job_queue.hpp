@@ -157,8 +157,8 @@ class JobQueue {
   /// running jobs get a sticky flag their RunHooks polls.
   CancelOutcome cancel(std::uint64_t id);
 
-  /// The sticky per-job cancel flag (true also once the queue is draining
-  /// hard via cancelAll).
+  /// The sticky per-job cancel flag, set by cancel(). Server::shutdown
+  /// sets it on every active id once its drain timeout expires.
   [[nodiscard]] bool cancelRequested(std::uint64_t id) const;
 
   /// Record a progress beat of a running job. Every beat updates STATUS;
@@ -217,10 +217,6 @@ class JobQueue {
   /// already queued.
   void close();
   [[nodiscard]] bool closed() const;
-
-  /// Cancel everything still queued and flag everything running — the
-  /// drain-timeout escalation path of shutdown.
-  void cancelAll();
 
   /// Block until nothing is queued or running, or `timeoutSeconds` elapses;
   /// true when drained.

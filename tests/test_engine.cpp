@@ -2,7 +2,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <ostream>
+#include <string>
+#include <vector>
 
+#include "analysis/metrics.hpp"
 #include "engine/registry.hpp"
 #include "img/synth.hpp"
 
@@ -216,6 +220,97 @@ TEST(EngineRoundTrip, SameSeedIsReproducibleAcrossEngineCalls) {
   const RunReport b = engine.run("serial", problem, RunBudget{2000, 0});
   EXPECT_EQ(a.circles.size(), b.circles.size());
   EXPECT_DOUBLE_EQ(a.logPosterior, b.logPosterior);
+}
+
+// ---------------------------------------------------------------------------
+// Quality: the paper's whole-image and partitioned methods recover most
+// artifacts of an eight-cell scene when run through the engine.
+// ---------------------------------------------------------------------------
+
+img::Scene eightCellScene(std::uint64_t seed) {
+  img::SceneSpec spec = img::cellScene(128, 128, 8, 8.0, seed);
+  spec.radiusStd = 0.5;
+  return img::generateScene(spec);
+}
+
+Problem eightCellProblem(const img::Scene& scene) {
+  Problem problem;
+  problem.filtered = &scene.image;
+  problem.prior.radiusMean = 8.0;
+  problem.prior.radiusStd = 0.8;
+  problem.prior.radiusMin = 3.0;
+  problem.prior.radiusMax = 14.0;
+  return problem;
+}
+
+std::vector<model::Circle> truthCircles(const img::Scene& scene) {
+  std::vector<model::Circle> out;
+  for (const auto& t : scene.truth) out.push_back(model::Circle{t.x, t.y, t.r});
+  return out;
+}
+
+struct QualityCase {
+  const char* strategy;
+  std::vector<std::string> options;
+};
+
+// Names each case after its strategy in gtest and ctest output.
+void PrintTo(const QualityCase& c, std::ostream* os) { *os << c.strategy; }
+
+class EngineQuality : public ::testing::TestWithParam<QualityCase> {};
+
+TEST_P(EngineQuality, FindsMostArtifacts) {
+  const img::Scene scene = eightCellScene(51);
+  const Engine engine(ExecResources{1, false, 3});
+  const RunReport report =
+      engine.run(GetParam().strategy, eightCellProblem(scene),
+                 RunBudget{12000, 0}, {}, GetParam().options);
+  const auto q =
+      analysis::scoreCircles(report.circles, truthCircles(scene), 6.0);
+  EXPECT_GE(q.recall, 0.6);
+  EXPECT_GE(q.precision, 0.5);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperMethods, EngineQuality,
+    ::testing::Values(
+        QualityCase{"serial", {}}, QualityCase{"periodic", {"phase=40"}},
+        QualityCase{"intelligent", {"iters-base=1500", "iters-per-circle=400"}},
+        QualityCase{"blind", {"iters-base=1500", "iters-per-circle=400"}}));
+
+TEST(EngineRoundTrip, CountEstimateTracksTheImage) {
+  // The prior's default expectedCount is 100; the eq. 5 estimate
+  // (Problem::estimateCount, on by default) replaces it, so the chain
+  // starts near the truth (without it the first trace point still holds
+  // ~90 circles) and ends within a few circles of it.
+  const img::Scene scene = eightCellScene(53);
+  const Engine engine(ExecResources{1, false, 3});
+  const RunReport report =
+      engine.run("serial", eightCellProblem(scene), RunBudget{12000, 0});
+  ASSERT_FALSE(report.diagnostics.trace().empty());
+  EXPECT_LT(report.diagnostics.trace().front().circleCount, 20u);
+  EXPECT_NEAR(static_cast<double>(report.circles.size()), 8.0, 4.0);
+}
+
+// Finding the nuclei of an eight-cell scene with the sequential method: the
+// chain runs its whole budget and two runs with one seed agree exactly.
+TEST(NucleiFinder, SequentialDiagnosticsPopulated) {
+  const img::Scene scene = eightCellScene(57);
+  const Engine engine(ExecResources{1, false, 3});
+  const RunReport report =
+      engine.run("serial", eightCellProblem(scene), RunBudget{12000, 0});
+  EXPECT_EQ(report.diagnostics.totalProposed(), 12000u);
+  EXPECT_NE(report.logPosterior, 0.0);
+}
+
+TEST(NucleiFinder, DeterministicForSeed) {
+  const img::Scene scene = eightCellScene(59);
+  const Problem problem = eightCellProblem(scene);
+  const Engine engine(ExecResources{1, false, 3});
+  const RunReport a = engine.run("serial", problem, RunBudget{12000, 0});
+  const RunReport b = engine.run("serial", problem, RunBudget{12000, 0});
+  ASSERT_EQ(a.circles.size(), b.circles.size());
+  EXPECT_EQ(a.logPosterior, b.logPosterior);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,11 +8,9 @@
 #include "img/disc_raster.hpp"
 #include "img/filters.hpp"
 #include "img/image.hpp"
-#include "img/integral_image.hpp"
 #include "img/overlay.hpp"
 #include "img/pnm_io.hpp"
 #include "img/synth.hpp"
-#include "rng/stream.hpp"
 
 namespace mcmcpar::img {
 namespace {
@@ -144,68 +142,6 @@ TEST(Filters, CountAboveThresholdWholeAndRect) {
   EXPECT_EQ(countAboveThreshold(im, 0.5f), 3u);
   EXPECT_EQ(countAboveThreshold(im, 0.5f, 0, 0, 2, 2), 1u);
   EXPECT_EQ(countAboveThreshold(im, 0.5f, 2, 2, 10, 10), 2u);  // clipped
-}
-
-TEST(Filters, StainEmphasisPicksChannel) {
-  ImageRgb im(2, 1);
-  im(0, 0) = Rgb{255, 0, 0};  // pure red: suppressed
-  im(1, 0) = Rgb{0, 0, 255};  // pure blue: emphasised
-  const ImageF f = stainEmphasis(im);
-  EXPECT_FLOAT_EQ(f(0, 0), 0.0f);
-  EXPECT_GT(f(1, 0), 0.9f);
-}
-
-TEST(Filters, BoxBlurPreservesMeanOnInterior) {
-  // A constant image is a fixed point of the blur.
-  const ImageF im(16, 16, 0.37f);
-  const ImageF b = boxBlur(im, 2);
-  for (float v : b.pixels()) EXPECT_NEAR(v, 0.37f, 1e-6f);
-}
-
-TEST(Filters, BoxBlurSmoothsAnImpulse) {
-  ImageF im(9, 9, 0.0f);
-  im(4, 4) = 1.0f;
-  const ImageF b = boxBlur(im, 1);
-  EXPECT_NEAR(b(4, 4), 1.0f / 9.0f, 1e-5f);
-  EXPECT_NEAR(b(3, 3), 1.0f / 9.0f, 1e-5f);
-  EXPECT_NEAR(b(0, 0), 0.0f, 1e-6f);
-}
-
-TEST(Filters, OccupancyVectors) {
-  ImageF im(4, 3, 0.0f);
-  im(1, 0) = 1.0f;
-  im(1, 2) = 1.0f;
-  im(3, 1) = 1.0f;
-  const auto cols = columnOccupancy(im, 0.5f);
-  const auto rows = rowOccupancy(im, 0.5f);
-  EXPECT_EQ(cols, (std::vector<bool>{false, true, false, true}));
-  EXPECT_EQ(rows, (std::vector<bool>{true, true, true}));
-}
-
-TEST(IntegralImage, MatchesBruteForceSums) {
-  rng::Stream s(31);
-  ImageF im(23, 17);
-  for (float& v : im.pixels()) v = static_cast<float>(s.uniform());
-  const IntegralImage integral(im);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int x0 = static_cast<int>(s.below(23));
-    const int y0 = static_cast<int>(s.below(17));
-    const int w = 1 + static_cast<int>(s.below(23));
-    const int h = 1 + static_cast<int>(s.below(17));
-    double brute = 0.0;
-    for (int y = y0; y < std::min(y0 + h, 17); ++y) {
-      for (int x = x0; x < std::min(x0 + w, 23); ++x) {
-        brute += im(x, y);
-      }
-    }
-    EXPECT_NEAR(integral.sum(x0, y0, w, h), brute, 1e-6);
-  }
-}
-
-TEST(IntegralImage, MeanOfEmptyRectIsZero) {
-  const IntegralImage integral(ImageF(4, 4, 1.0f));
-  EXPECT_EQ(integral.mean(2, 2, 0, 5), 0.0);
-  EXPECT_NEAR(integral.mean(0, 0, 4, 4), 1.0, 1e-12);
 }
 
 TEST(DiscRaster, PixelCountApproximatesArea) {

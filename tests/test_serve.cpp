@@ -10,9 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -25,7 +23,6 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
-#include "serve/watch.hpp"
 #include "shard/remote.hpp"
 
 namespace fs = std::filesystem;
@@ -1188,91 +1185,6 @@ TEST(Server, OneshotJobDoesNotPolluteTheImageCache) {
     }));
   }
   EXPECT_EQ(server.stats().cache.entries, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Watch front-end
-// ---------------------------------------------------------------------------
-
-TEST(Watch, ManifestDropProducesAResultFile) {
-  const TempDir dir;
-  Server server(tinyServer());
-  WatchFrontend watch(server, dir.path.string(), /*pollMillis=*/20);
-
-  // Write-then-rename, as the protocol recommends.
-  const fs::path tmp = dir.path / "jobs.tmp";
-  {
-    std::ofstream out(tmp);
-    out << "# two quick jobs\n"
-        << "synth serial @iters=200\n"
-        << "synth speculative lanes=2 @iters=200\n";
-  }
-  fs::rename(tmp, dir.path / "jobs.manifest");
-
-  const fs::path result = dir.path / "jobs.manifest.result.json";
-  ASSERT_TRUE(waitFor([&] { return fs::exists(result); }, 60s));
-  std::ifstream in(result);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("\"completed\": 2"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"strategy\": \"speculative\""), std::string::npos)
-      << text;
-}
-
-TEST(Watch, UnparseableManifestYieldsAnErrorResult) {
-  const TempDir dir;
-  Server server(tinyServer());
-  WatchFrontend watch(server, dir.path.string(), /*pollMillis=*/20);
-  {
-    std::ofstream out(dir.path / "bad.tmp");
-    out << "synth serial bogus-token\n";
-  }
-  fs::rename(dir.path / "bad.tmp", dir.path / "bad.manifest");
-  const fs::path result = dir.path / "bad.manifest.result.json";
-  ASSERT_TRUE(waitFor([&] { return fs::exists(result); }, 30s));
-  std::ifstream in(result);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("\"error\""), std::string::npos) << text;
-  EXPECT_NE(text.find("bogus-token"), std::string::npos) << text;
-}
-
-TEST(Watch, PartiallyRejectedManifestReportsAdmissionErrors) {
-  const TempDir dir;
-  Server server(tinyServer());
-  WatchFrontend watch(server, dir.path.string(), /*pollMillis=*/20);
-  {
-    std::ofstream out(dir.path / "mixed.tmp");
-    out << "synth serial @iters=200\n"
-        << "/no/such/file.pgm serial @iters=200\n";
-  }
-  fs::rename(dir.path / "mixed.tmp", dir.path / "mixed.manifest");
-  const fs::path result = dir.path / "mixed.manifest.result.json";
-  ASSERT_TRUE(waitFor([&] { return fs::exists(result); }, 30s));
-  std::ifstream in(result);
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  // The good job ran; the rejected one is reported, not dropped.
-  EXPECT_NE(text.find("\"completed\": 1"), std::string::npos) << text;
-  EXPECT_NE(text.find("\"admission_errors\""), std::string::npos) << text;
-  EXPECT_NE(text.find("\"failed\": 1"), std::string::npos) << text;
-  EXPECT_NE(text.find("no/such/file.pgm"), std::string::npos) << text;
-}
-
-TEST(Watch, ExistingResultFilePreventsReingestion) {
-  const TempDir dir;
-  Server server(tinyServer());
-  {
-    std::ofstream out(dir.path / "old.manifest");
-    out << "synth serial @iters=100\n";
-  }
-  {
-    std::ofstream out(dir.path / "old.manifest.result.json");
-    out << "{\"manifest\": \"old\", \"completed\": 1}\n";
-  }
-  WatchFrontend watch(server, dir.path.string(), /*pollMillis=*/20);
-  std::this_thread::sleep_for(200ms);
-  EXPECT_EQ(server.stats().jobs.submitted, 0u);
 }
 
 }  // namespace

@@ -1,17 +1,17 @@
 // mcmcpar_serve — the persistent serving front-end: one long-running
 // process owning a shared thread budget (par::PoolBudget) and a warm image
 // cache, executing jobs continuously through the engine registry. Jobs
-// arrive over a TCP socket (--listen) and/or a watched spool directory
-// (--watch); both speak the job protocol specified in docs/PROTOCOL.md.
+// arrive over a TCP socket (--listen) speaking the job protocol specified
+// in docs/PROTOCOL.md.
 //
 //   mcmcpar_serve --listen 7333
-//   mcmcpar_serve --watch /var/spool/mcmcpar --threads 8 --cache-mb 512
-//   mcmcpar_serve --listen 0 --watch ./spool --drain-timeout 30
+//   mcmcpar_serve --listen 7333 --threads 8 --cache-mb 512
+//   mcmcpar_serve --listen 0 --drain-timeout 30
 //
-// On startup the resolved endpoints are printed as machine-parseable lines
-// ("LISTENING <port>", "WATCHING <dir>") so scripts can drive an
-// ephemeral-port server. SIGINT/SIGTERM or a client SHUTDOWN command begin
-// a graceful drain bounded by --drain-timeout.
+// On startup the resolved port is printed as a machine-parseable line
+// ("LISTENING <port>") so scripts can drive an ephemeral-port server.
+// SIGINT/SIGTERM or a client SHUTDOWN command begin a graceful drain
+// bounded by --drain-timeout.
 
 #include <atomic>
 #include <chrono>
@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,7 +32,6 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
-#include "serve/watch.hpp"
 #include "shard/endpoints.hpp"
 
 using namespace mcmcpar;
@@ -46,9 +44,7 @@ void onSignal(int) { shutdownRequested.store(true); }
 
 struct CliOptions {
   std::optional<unsigned> listenPort;  // --listen (0 = ephemeral)
-  std::string watchDir;                // --watch
   std::string endpointsFile;           // --endpoints-file
-  unsigned pollMillis = 250;           // --poll-ms
   double drainTimeout = 10.0;          // --drain-timeout
   double pingInterval = 30.0;          // --ping-interval
   std::string traceOut;                // --trace-out
@@ -58,13 +54,10 @@ struct CliOptions {
 
 void printUsage() {
   std::printf(
-      "usage: mcmcpar_serve (--listen PORT | --watch DIR) [options]\n"
+      "usage: mcmcpar_serve --listen PORT [options]\n"
       "  --listen PORT       accept the socket protocol on 127.0.0.1:PORT\n"
       "                      (0 = ephemeral; resolved port is printed as\n"
       "                      'LISTENING <port>')\n"
-      "  --watch DIR         ingest *.manifest files dropped into DIR and\n"
-      "                      write <name>.manifest.result.json next to them\n"
-      "  --poll-ms N         watch-directory poll interval (default: 250)\n"
       "  --endpoints-file F  fleet config (one 'host:port [weight]' per\n"
       "                      line, '#' comments). Validated at startup\n"
       "                      (duplicates and zero weights are line-numbered\n"
@@ -122,12 +115,6 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
     } else if (std::strcmp(arg, "--listen") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.listenPort = u32(65535);
-    } else if (std::strcmp(arg, "--watch") == 0) {
-      if ((v = value(i)) == nullptr) return std::nullopt;
-      cli.watchDir = v;
-    } else if (std::strcmp(arg, "--poll-ms") == 0) {
-      if ((v = value(i)) == nullptr) return std::nullopt;
-      cli.pollMillis = u32();
     } else if (std::strcmp(arg, "--endpoints-file") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.endpointsFile = v;
@@ -179,9 +166,8 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       return std::nullopt;
     }
   }
-  if (!cli.listenPort && cli.watchDir.empty()) {
-    std::fprintf(stderr,
-                 "nothing to serve: pass --listen PORT and/or --watch DIR\n");
+  if (!cli.listenPort) {
+    std::fprintf(stderr, "--listen PORT is required\n");
     return std::nullopt;
   }
   return cli;
@@ -201,12 +187,6 @@ int main(int argc, char** argv) {
   if (cli.help) {
     printUsage();
     return 0;
-  }
-  if (!cli.watchDir.empty() &&
-      !std::filesystem::is_directory(cli.watchDir)) {
-    std::fprintf(stderr, "--watch: not a directory: %s\n",
-                 cli.watchDir.c_str());
-    return 2;
   }
 
   serve::ServerOptions serverOptions = cli.server;
@@ -235,23 +215,15 @@ int main(int argc, char** argv) {
                   cli.server.defaultBudget.iterations));
 
   std::unique_ptr<serve::SocketFrontend> socket;
-  if (cli.listenPort) {
-    try {
-      socket = std::make_unique<serve::SocketFrontend>(
-          server, static_cast<std::uint16_t>(*cli.listenPort),
-          [] { shutdownRequested.store(true); });
-    } catch (const serve::ProtocolError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-    std::printf("LISTENING %u\n", socket->port());
+  try {
+    socket = std::make_unique<serve::SocketFrontend>(
+        server, static_cast<std::uint16_t>(*cli.listenPort),
+        [] { shutdownRequested.store(true); });
+  } catch (const serve::ProtocolError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
-  std::unique_ptr<serve::WatchFrontend> watch;
-  if (!cli.watchDir.empty()) {
-    watch = std::make_unique<serve::WatchFrontend>(server, cli.watchDir,
-                                                   cli.pollMillis);
-    std::printf("WATCHING %s\n", cli.watchDir.c_str());
-  }
+  std::printf("LISTENING %u\n", socket->port());
   // Fleet health: a startup PING round (machine-parseable ENDPOINT lines)
   // and a background probe that reports every up/down transition.
   std::unique_ptr<shard::EndpointPool> pool;
@@ -304,8 +276,7 @@ int main(int argc, char** argv) {
   std::printf("draining (up to %.1f s) ...\n", cli.drainTimeout);
   std::fflush(stdout);
   server.shutdown(cli.drainTimeout);
-  if (watch) watch->stop();    // flush result files for settled manifests
-  if (socket) socket->stop();  // WAIT streams got their terminal events
+  socket->stop();  // WAIT streams got their terminal events
 
   // The summary reads the metrics registry — the same numbers the METRICS
   // command exposes — so the two can never disagree (the server's collector

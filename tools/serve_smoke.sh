@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# End-to-end smoke test of the serving front-end, exercising both ingestion
-# modes against one live server:
-#   1. watch mode  — drop the 6-strategy manifest into a spool directory and
-#                    wait for the result JSON to appear next to it;
-#   2. socket mode — SUBMIT/WAIT/RESULT/STATS a job through mcmcpar_submit,
-#                    then SHUTDOWN and check the server exits cleanly.
+# End-to-end smoke test of the serving front-end against one live server:
+#   1. manifest    — submit every job line of the manifest (each one is a
+#                    valid SUBMIT line) with mcmcpar_submit --no-wait, then
+#                    --wait on each id and require every job to end done;
+#   2. socket mode — SUBMIT/WAIT/RESULT/STATS a job through mcmcpar_submit;
+#   3. METRICS     — the Prometheus exposition, monotone across scrapes;
+#   4. SHUTDOWN    — check the server drains and exits cleanly.
 #
 # usage: serve_smoke.sh <mcmcpar_serve> <mcmcpar_submit> <manifest>
 set -euo pipefail
@@ -14,8 +15,6 @@ SUBMIT_BIN=$2
 MANIFEST=$3
 
 WORK=$(mktemp -d)
-SPOOL="$WORK/spool"
-mkdir -p "$SPOOL"
 SERVER_PID=""
 cleanup() {
   [[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null || true
@@ -23,15 +22,16 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== starting mcmcpar_serve (watch + ephemeral socket) =="
-"$SERVE_BIN" --listen 0 --watch "$SPOOL" --iterations 600 \
+echo "== starting mcmcpar_serve (ephemeral socket) =="
+"$SERVE_BIN" --listen 0 --iterations 600 \
   --width 96 --height 96 --cells 4 --drain-timeout 20 \
   > "$WORK/serve.log" 2>&1 &
 SERVER_PID=$!
 
 PORT=""
 for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^LISTENING //p' "$WORK/serve.log" | head -1)
+  # The log appears only once the background shell has opened it.
+  PORT=$(sed -n 's/^LISTENING //p' "$WORK/serve.log" 2>/dev/null | head -1) || true
   [[ -n "$PORT" ]] && break
   kill -0 "$SERVER_PID" 2>/dev/null || { cat "$WORK/serve.log"; exit 1; }
   sleep 0.1
@@ -39,18 +39,21 @@ done
 [[ -n "$PORT" ]] || { echo "server never reported its port"; cat "$WORK/serve.log"; exit 1; }
 echo "server up on port $PORT (pid $SERVER_PID)"
 
-echo "== watch mode: drop the all-strategies manifest =="
-cp "$MANIFEST" "$SPOOL/smoke.manifest"
-RESULT="$SPOOL/smoke.manifest.result.json"
-for _ in $(seq 1 600); do
-  [[ -f "$RESULT" ]] && break
-  kill -0 "$SERVER_PID" 2>/dev/null || { cat "$WORK/serve.log"; exit 1; }
-  sleep 0.5
-done
-[[ -f "$RESULT" ]] || { echo "no result JSON appeared"; cat "$WORK/serve.log"; exit 1; }
+echo "== manifest: submit every job line, then wait on each =="
+IDS=()
+while read -r -a TOKENS; do
+  [[ ${#TOKENS[@]} -eq 0 || ${TOKENS[0]} == \#* ]] && continue
+  ID=$("$SUBMIT_BIN" --port "$PORT" --no-wait "${TOKENS[@]}") \
+    || { echo "submit failed: ${TOKENS[*]}"; cat "$WORK/serve.log"; exit 1; }
+  IDS+=("$ID")
+done < "$MANIFEST"
 JOBS=$(grep -cve '^\s*#' -e '^\s*$' "$MANIFEST")
-grep -q "\"completed\": $JOBS" "$RESULT" || { echo "unexpected result:"; cat "$RESULT"; exit 1; }
-echo "result JSON OK: $(grep -o '"completed": [0-9]*' "$RESULT")"
+[[ ${#IDS[@]} -eq $JOBS ]] || { echo "submitted ${#IDS[@]} of $JOBS jobs"; exit 1; }
+for ID in "${IDS[@]}"; do
+  "$SUBMIT_BIN" --port "$PORT" --wait "$ID" > "$WORK/job$ID.json" \
+    || { echo "job $ID did not end done:"; cat "$WORK/job$ID.json"; exit 1; }
+done
+echo "manifest OK: $JOBS job(s) done (ids ${IDS[*]})"
 
 echo "== socket mode: submit + wait + result =="
 OUT=$("$SUBMIT_BIN" --port "$PORT" --progress synth serial @iters=400 @label=socket-smoke)

@@ -28,7 +28,8 @@ SERVER_PID=$!
 
 PORT=""
 for _ in $(seq 1 100); do
-  PORT=$(sed -n 's/^LISTENING //p' "$WORK/serve.log" | head -1)
+  # The log appears only once the background shell has opened it.
+  PORT=$(sed -n 's/^LISTENING //p' "$WORK/serve.log" 2>/dev/null | head -1) || true
   [[ -n "$PORT" ]] && break
   kill -0 "$SERVER_PID" 2>/dev/null || { cat "$WORK/serve.log"; exit 1; }
   sleep 0.1
