@@ -109,8 +109,7 @@ struct PeriodicSampler::Impl {
   Impl(model::ModelState& s, const mcmc::MoveRegistry& r,
        const PeriodicParams& p, std::uint64_t seed)
       : state(s), registry(r), params(p), master(seed) {
-    if (params.executor == LocalExecutor::InPlacePool ||
-        params.executor == LocalExecutor::SplitMergePool) {
+    if (params.executor == LocalExecutor::InPlacePool) {
       pool = par::makeThreadPool(params.threads);
     }
     if (params.specLanesGlobal > 1) {
@@ -259,8 +258,7 @@ struct PeriodicSampler::Impl {
             params.threads);
         break;
       }
-      case LocalExecutor::SplitMergeSerial:
-      case LocalExecutor::SplitMergePool: {
+      case LocalExecutor::SplitMergeSerial: {
         // Split: crop + copy each partition (sequential master work).
         const par::WallTimer splitTimer;
         std::vector<SubState> subs;
@@ -278,16 +276,9 @@ struct PeriodicSampler::Impl {
         }
         const double splitSeconds = splitTimer.seconds();
 
-        if (params.executor == LocalExecutor::SplitMergePool) {
-          pool->parallelFor(subs.size(), [&](std::size_t k) {
-            results[active[k]] = runLocalSessionSub(
-                subs[k], registry, allocation[active[k]], streams[active[k]]);
-          });
-        } else {
-          for (std::size_t k = 0; k < subs.size(); ++k) {
-            results[active[k]] = runLocalSessionSub(
-                subs[k], registry, allocation[active[k]], streams[active[k]]);
-          }
+        for (std::size_t k = 0; k < subs.size(); ++k) {
+          results[active[k]] = runLocalSessionSub(
+              subs[k], registry, allocation[active[k]], streams[active[k]]);
         }
 
         // Merge back (sequential master work).

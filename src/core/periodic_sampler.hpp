@@ -28,8 +28,6 @@ enum class LocalExecutor : std::uint8_t {
   /// serially: the faithful "duplicate ... and merge" path of §VII whose
   /// overhead Fig. 2 measures; required for virtual-time cluster modelling.
   SplitMergeSerial,
-  /// Sub-states executed on the ThreadPool.
-  SplitMergePool,
 };
 
 /// How partitions are laid out each local phase.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <istream>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -15,23 +13,10 @@
 #include "obs/trace.hpp"
 #include "par/concurrency.hpp"
 #include "par/thread_pool.hpp"
-#include "par/virtual_clock.hpp"
 #include "rng/splitmix64.hpp"
 #include "shard/tiling.hpp"
 
 namespace mcmcpar::engine {
-
-namespace {
-
-/// Nearest-rank percentile of an ascending-sorted latency list.
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(p * static_cast<double>(sorted.size()))));
-  return sorted[std::min(rank, sorted.size()) - 1];
-}
-
-}  // namespace
 
 std::uint64_t deriveJobSeed(std::uint64_t batchSeed,
                             std::size_t jobIndex) noexcept {
@@ -55,11 +40,10 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
   const std::size_t n = jobs.size();
   BatchResult result;
   result.reports.resize(n);
-  result.batch.jobs = n;
-  result.batch.errors.assign(n, "");
+  result.errors.assign(n, "");
 
   // Either a private budget for this one call, or the caller's long-lived
-  // one (serve::Server runs batch after batch against a single budget).
+  // one (a sharded job runs its tiles inside its server's budget).
   std::optional<par::PoolBudget> ownedBudget;
   par::PoolBudget* budgetPtr = options.sharedBudget;
   if (budgetPtr == nullptr) {
@@ -68,16 +52,9 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
   }
   par::PoolBudget& budget = *budgetPtr;
 
-  const unsigned totalThreads = budget.total();
-  unsigned concurrency = options.maxConcurrentJobs != 0
-                             ? options.maxConcurrentJobs
-                             : totalThreads;
-  concurrency = std::min(concurrency, totalThreads);
-  // Never more runners than jobs (an empty batch keeps one nominal runner
-  // and the serial path below spawns no pool at all).
-  const std::size_t jobCap = std::max<std::size_t>(n, 1);
-  if (jobCap < concurrency) concurrency = static_cast<unsigned>(jobCap);
-  concurrency = std::max(concurrency, 1u);
+  // One runner per budgeted thread, never more runners than jobs.
+  unsigned concurrency = static_cast<unsigned>(
+      std::min<std::size_t>(budget.total(), std::max<std::size_t>(n, 1)));
 
   // The shared budget: job-runner threads are charged up front, strategies
   // lease their internal workers from the remainder. A shared budget may be
@@ -92,9 +69,6 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
     unsigned charged;
     ~BudgetReturn() { budget.release(charged); }
   } budgetReturn{budget, charged};
-
-  result.batch.threadBudget = totalThreads;
-  result.batch.concurrentJobs = concurrency;
 
   // Validate and instantiate every strategy before any work starts: an
   // unknown name or bad option fails the batch as one EngineError instead
@@ -117,24 +91,15 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
     }
   }
 
-  const par::WallTimer batchTimer;
   std::atomic<bool> batchCancelled{false};
   const auto shouldStop = [&]() -> bool {
     if (batchCancelled.load(std::memory_order_relaxed)) return true;
-    const bool stop =
-        (hooks.cancelRequested && hooks.cancelRequested()) ||
-        (options.deadlineSeconds > 0.0 &&
-         batchTimer.seconds() >= options.deadlineSeconds);
+    const bool stop = hooks.cancelRequested && hooks.cancelRequested();
     if (stop) batchCancelled.store(true, std::memory_order_relaxed);
     return stop;
   };
 
   std::mutex doneMutex;
-  std::vector<double> latencies(n, 0.0);
-  // char, not bool: concurrent jobs write distinct elements, and
-  // vector<bool>'s bit packing would make that a data race.
-  std::vector<char> executed(n, 0);
-
   const auto runJob = [&](std::size_t i) {
     RunReport& report = result.reports[i];
     if (shouldStop()) {
@@ -143,40 +108,27 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
       report.strategy = jobs[i].strategy;
       report.cancelled = true;
       report.threadsUsed = 0;
-      if (hooks.onJobDone) {
-        const std::scoped_lock lock(doneMutex);
-        hooks.onJobDone(i, report);
+    } else {
+      RunHooks jobHooks;
+      jobHooks.cancelRequested = shouldStop;
+      try {
+        obs::Span jobSpan("engine", "job:" + jobs[i].strategy);
+        jobSpan.arg("label", jobs[i].label.empty() ? std::to_string(i)
+                                                   : jobs[i].label);
+        strategies[i]->prepare(jobs[i].problem);
+        report = strategies[i]->run(jobs[i].budget, jobHooks);
+        obs::Registry::global()
+            .counter("mcmcpar_engine_runs_total", "Strategy runs completed.",
+                     {{"strategy", jobs[i].strategy}})
+            .add();
+      } catch (const std::exception& e) {
+        // EngineError and anything else: one bad job must not sink the batch.
+        report = RunReport{};
+        report.strategy = jobs[i].strategy;
+        report.threadsUsed = 0;
+        result.errors[i] = e.what();
       }
-      return;
     }
-
-    RunHooks jobHooks;
-    jobHooks.cancelRequested = shouldStop;
-    if (hooks.onJobProgress) {
-      jobHooks.onProgress = [&hooks, i](const RunProgress& p) {
-        hooks.onJobProgress(i, p);
-      };
-    }
-
-    const par::WallTimer jobTimer;
-    try {
-      obs::Span jobSpan("engine", "job:" + jobs[i].strategy);
-      jobSpan.arg("label", jobs[i].label.empty() ? std::to_string(i)
-                                                 : jobs[i].label);
-      strategies[i]->prepare(jobs[i].problem);
-      report = strategies[i]->run(jobs[i].budget, jobHooks);
-      obs::Registry::global()
-          .counter("mcmcpar_engine_runs_total", "Strategy runs completed.",
-                   {{"strategy", jobs[i].strategy}})
-          .add();
-    } catch (const std::exception& e) {  // EngineError and anything else:
-      report = RunReport{};              // one bad job must not sink the batch
-      report.strategy = jobs[i].strategy;
-      report.threadsUsed = 0;
-      result.batch.errors[i] = e.what();
-    }
-    latencies[i] = jobTimer.seconds();
-    executed[i] = true;
     if (hooks.onJobDone) {
       const std::scoped_lock lock(doneMutex);
       hooks.onJobDone(i, report);
@@ -190,35 +142,6 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
     // helps drain the queue, so exactly `concurrency` jobs run at once.
     par::ThreadPool pool(concurrency - 1);
     pool.parallelFor(n, runJob);
-  }
-
-  // Aggregate.
-  BatchReport& batch = result.batch;
-  batch.wallSeconds = batchTimer.seconds();
-  std::vector<double> executedLatencies;
-  executedLatencies.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const RunReport& report = result.reports[i];
-    if (!batch.errors[i].empty()) {
-      ++batch.failed;
-    } else if (report.cancelled) {
-      ++batch.cancelled;
-    } else {
-      ++batch.completed;
-    }
-    if (!executed[i]) continue;
-    executedLatencies.push_back(latencies[i]);
-    StrategyTotals& totals = batch.perStrategy[jobs[i].strategy];
-    ++totals.jobs;
-    totals.iterations += report.iterations;
-    totals.wallSeconds += latencies[i];
-  }
-  std::sort(executedLatencies.begin(), executedLatencies.end());
-  batch.p50Seconds = percentile(executedLatencies, 0.50);
-  batch.p95Seconds = percentile(executedLatencies, 0.95);
-  if (batch.wallSeconds > 0.0) {
-    batch.jobsPerSecond =
-        static_cast<double>(executedLatencies.size()) / batch.wallSeconds;
   }
   return result;
 }

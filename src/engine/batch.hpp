@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,37 +35,22 @@ struct BatchJob {
 struct BatchOptions {
   /// Shared execution resources. `threads` is the *total* worker budget of
   /// the whole batch (0 = hardware concurrency): jobs run concurrently
-  /// inside it, and strategies lease their internal workers from what is
-  /// left, so the box is never oversubscribed. `seed` is the batch master
-  /// seed that per-job seeds derive from.
+  /// inside it, one per budgeted thread, and strategies lease their
+  /// internal workers from what is left, so the box is never
+  /// oversubscribed. `seed` is the batch master seed that per-job seeds
+  /// derive from.
   ExecResources resources;
-
-  /// Upper bound on jobs in flight (0 = one per budgeted thread). Lowering
-  /// it below the thread budget leaves spare threads for strategies'
-  /// internal parallelism.
-  unsigned maxConcurrentJobs = 0;
-
-  /// Whole-batch wall-clock deadline in seconds (0 = none). Jobs still
-  /// running when it expires are cancelled at their next polling quantum;
-  /// jobs not yet started are skipped.
-  double deadlineSeconds = 0.0;
 
   /// When set (borrowed), the batch charges its job-runner threads against
   /// this long-lived budget instead of constructing a private one, and
-  /// returns them when the run ends — the reusable-budget lifecycle a
-  /// persistent front-end needs to run batch after batch against one
-  /// PoolBudget. `resources.threads` is ignored in favour of the budget's
-  /// total.
+  /// returns them when the run ends — so a sharded job fans its tiles out
+  /// inside the budget of the server or batch that runs it.
+  /// `resources.threads` is ignored in favour of the budget's total.
   par::PoolBudget* sharedBudget = nullptr;
 };
 
-/// Observer callbacks of a batch run. All optional; callbacks may be
-/// invoked concurrently from different job threads, except onJobDone which
-/// is serialised by the runner.
+/// Observer callbacks of a batch run. All optional.
 struct BatchHooks {
-  /// Per-job progress beat, forwarded from the strategy's RunHooks.
-  std::function<void(std::size_t jobIndex, const RunProgress&)> onJobProgress;
-
   /// A job finished (completed, failed or cancelled); `report` is its final
   /// RunReport. Serialised: never invoked concurrently.
   std::function<void(std::size_t jobIndex, const RunReport& report)> onJobDone;
@@ -76,35 +60,12 @@ struct BatchHooks {
   std::function<bool()> cancelRequested;
 };
 
-/// Per-strategy roll-up of a batch.
-struct StrategyTotals {
-  std::size_t jobs = 0;
-  std::uint64_t iterations = 0;
-  double wallSeconds = 0.0;  ///< summed per-job latencies
-};
-
-/// Aggregate outcome of a batch: throughput, latency percentiles and
-/// per-strategy totals, plus index-aligned error messages for failed jobs.
-struct BatchReport {
-  std::size_t jobs = 0;
-  std::size_t completed = 0;  ///< ran their full budget
-  std::size_t cancelled = 0;  ///< stopped early or never started
-  std::size_t failed = 0;     ///< threw EngineError while running
-  double wallSeconds = 0.0;   ///< whole-batch wall time
-  double jobsPerSecond = 0.0;
-  double p50Seconds = 0.0;  ///< median per-job latency (executed jobs)
-  double p95Seconds = 0.0;  ///< nearest-rank 95th percentile latency
-  unsigned threadBudget = 0;    ///< resolved total worker budget
-  unsigned concurrentJobs = 0;  ///< resolved jobs-in-flight cap
-  std::map<std::string, StrategyTotals> perStrategy;
-  std::vector<std::string> errors;  ///< index-aligned; "" for non-failures
-};
-
 /// A batch outcome: one RunReport per submitted job, index-aligned with the
-/// input vector regardless of completion order, plus the aggregate.
+/// input vector regardless of completion order, plus index-aligned error
+/// messages ("" for jobs that did not fail).
 struct BatchResult {
   std::vector<RunReport> reports;
-  BatchReport batch;
+  std::vector<std::string> errors;
 };
 
 /// Executes N independent jobs concurrently under one shared thread budget.
@@ -112,9 +73,9 @@ struct BatchResult {
 /// Jobs are validated up front (unknown strategies or malformed options
 /// fail the whole batch before any work starts), dispatched in submission
 /// order over an internal par::ThreadPool, and reported in submission
-/// order. Each job runs under a wrapped RunHooks that forwards progress,
-/// honours the per-batch deadline and propagates batch cancellation; a
-/// cancelled batch keeps every already-finished report intact.
+/// order. Each job runs under a wrapped RunHooks that propagates batch
+/// cancellation; a cancelled batch keeps every already-finished report
+/// intact.
 class BatchRunner {
  public:
   /// `registry` defaults to the built-in six-strategy registry and is
@@ -123,7 +84,7 @@ class BatchRunner {
 
   /// Run the batch. Throws EngineError if any job names an unknown
   /// strategy or carries invalid options; failures *during* a job are
-  /// captured per job instead (BatchReport::errors).
+  /// captured per job instead (BatchResult::errors).
   [[nodiscard]] BatchResult run(const std::vector<BatchJob>& jobs,
                                 const BatchOptions& options = {},
                                 const BatchHooks& hooks = {}) const;
@@ -183,7 +144,8 @@ struct ManifestEntry {
 
   /// @image=inline: the image token names an UPLOAD id on the submitting
   /// connection instead of a path. Only the socket front-end can satisfy
-  /// it; manifest files and the watch front-end reject such entries.
+  /// it; `--batch` manifests have no connection, so serve::Server rejects
+  /// such entries there.
   bool inlineImage = false;
 
   /// @oneshot=1: resolve the image with cache bypass — a miss is served

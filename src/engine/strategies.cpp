@@ -361,13 +361,11 @@ class PeriodicStrategy final : public StrategyBase {
       params_.executor = core::LocalExecutor::InPlaceOmp;
     } else if (executor == "split-serial") {
       params_.executor = core::LocalExecutor::SplitMergeSerial;
-    } else if (executor == "split-pool") {
-      params_.executor = core::LocalExecutor::SplitMergePool;
     } else {
       throw EngineError(
           "strategy '" + name_ + "': executor must be one of " +
-          "'auto', 'serial', 'pool', 'omp', 'split-serial', 'split-pool', " +
-          "got '" + executor + "'");
+          "'auto', 'serial', 'pool', 'omp', 'split-serial', got '" +
+          executor + "'");
     }
   }
 
@@ -391,10 +389,10 @@ class PeriodicStrategy final : public StrategyBase {
     // ThreadPool executors drain parallelFor on this thread too, so their
     // pool is one smaller than the lease; an OpenMP team already counts the
     // caller as its master thread.
-    const bool poolExecutor =
-        params.executor == core::LocalExecutor::InPlacePool ||
-        params.executor == core::LocalExecutor::SplitMergePool;
-    if (poolExecutor && params.threads > 1) --params.threads;
+    if (params.executor == core::LocalExecutor::InPlacePool &&
+        params.threads > 1) {
+      --params.threads;
+    }
     params.totalIterations = budget.iterations;
     params.traceInterval = traceEvery(budget);
 
@@ -412,7 +410,6 @@ class PeriodicStrategy final : public StrategyBase {
     switch (params.executor) {
       case core::LocalExecutor::InPlacePool:
       case core::LocalExecutor::InPlaceOmp:
-      case core::LocalExecutor::SplitMergePool:
         report.threadsUsed = lease.threads();
         break;
       default:
@@ -539,7 +536,7 @@ const StrategyRegistry& StrategyRegistry::builtin() {
             }});
     r->add({"periodic", "§V-VII",
             "periodic partitioning (global/local phases)", "PeriodicReport",
-            "phase=N executor=auto|serial|pool|omp|split-serial|split-pool "
+            "phase=N executor=auto|serial|pool|omp|split-serial "
             "layout=cross|grid margin=X spec-lanes=N virtual-threads=N "
             "resync=N grid-x=X grid-y=X",
             [](const ExecResources& res, const OptionMap& opts) {

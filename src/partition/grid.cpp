@@ -90,14 +90,6 @@ std::vector<IRect> tileImage(int width, int height, int gx, int gy) {
   return rects;
 }
 
-IRect snapToPixels(const model::Bounds& b, int imageWidth, int imageHeight) {
-  const int x0 = std::clamp(static_cast<int>(std::floor(b.x0)), 0, imageWidth);
-  const int y0 = std::clamp(static_cast<int>(std::floor(b.y0)), 0, imageHeight);
-  const int x1 = std::clamp(static_cast<int>(std::ceil(b.x1)), x0, imageWidth);
-  const int y1 = std::clamp(static_cast<int>(std::ceil(b.y1)), y0, imageHeight);
-  return IRect{x0, y0, x1 - x0, y1 - y0};
-}
-
 IRect roundToPixels(const model::Bounds& b, int imageWidth, int imageHeight) {
   const int x0 =
       std::clamp(static_cast<int>(std::lround(b.x0)), 0, imageWidth);

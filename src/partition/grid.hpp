@@ -66,11 +66,6 @@ struct GridSpec {
 /// (blind partitioning's "simple grid"; also used to build crop rects).
 [[nodiscard]] std::vector<IRect> tileImage(int width, int height, int gx, int gy);
 
-/// Clip a Bounds to integer pixels (outward for the low edge, inward for
-/// the high edge never exceeding the domain), for raster crops.
-[[nodiscard]] IRect snapToPixels(const model::Bounds& b, int imageWidth,
-                                 int imageHeight);
-
 /// Round each edge to the nearest pixel. Cells sharing a cut line round it
 /// identically, so rounding a disjoint tiling keeps it disjoint — this is
 /// what the split/merge executor uses to turn grid cells into crop rects.

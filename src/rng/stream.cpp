@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
 
 namespace mcmcpar::rng {
@@ -93,41 +92,6 @@ double Stream::exponential(double lambda) noexcept {
   double u = uniform();
   while (u <= 0.0) u = uniform();
   return -std::log(u) / lambda;
-}
-
-std::uint64_t Stream::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth: multiply uniforms until the product drops below e^-mean.
-    const double limit = std::exp(-mean);
-    std::uint64_t k = 0;
-    double prod = uniform();
-    while (prod > limit) {
-      ++k;
-      prod *= uniform();
-    }
-    return k;
-  }
-  // PTRS transformed-rejection (Hormann 1993) for large means.
-  const double b = 0.931 + 2.53 * std::sqrt(mean);
-  const double a = -0.059 + 0.02483 * b;
-  const double invAlpha = 1.1239 + 1.1328 / (b - 3.4);
-  const double vr = 0.9277 - 3.6224 / (b - 2.0);
-  for (;;) {
-    const double u = uniform() - 0.5;
-    const double v = uniform();
-    const double us = 0.5 - std::abs(u);
-    const auto k = static_cast<std::int64_t>(
-        std::floor((2.0 * a / us + b) * u + mean + 0.43));
-    if (us >= 0.07 && v <= vr) return static_cast<std::uint64_t>(k);
-    if (k < 0 || (us < 0.013 && v > us)) continue;
-    const double logMean = std::log(mean);
-    if (std::log(v * invAlpha / (a / (us * us) + b)) <=
-        static_cast<double>(k) * logMean - mean -
-            logGamma(static_cast<double>(k) + 1.0)) {
-      return static_cast<std::uint64_t>(k);
-    }
-  }
 }
 
 }  // namespace mcmcpar::rng

@@ -56,9 +56,6 @@ class Stream {
   /// Exponential with rate lambda (> 0).
   double exponential(double lambda) noexcept;
 
-  /// Poisson draw; Knuth's method for mean < 30, PTRS rejection otherwise.
-  std::uint64_t poisson(double mean) noexcept;
-
   /// Underlying generator (tests, serialisation).
   [[nodiscard]] const Xoshiro256& generator() const noexcept { return gen_; }
 

@@ -32,9 +32,12 @@ std::uint64_t Xoshiro256::next() noexcept {
   return result;
 }
 
-void Xoshiro256::applyJump(const std::array<std::uint64_t, 4>& table) noexcept {
+void Xoshiro256::jump() noexcept {
+  constexpr std::array<std::uint64_t, 4> kJump{
+      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
+      0x39abdc4529b1661cULL};
   std::array<std::uint64_t, 4> acc{0, 0, 0, 0};
-  for (std::uint64_t word : table) {
+  for (std::uint64_t word : kJump) {
     for (int b = 0; b < 64; ++b) {
       if (word & (std::uint64_t{1} << b)) {
         acc[0] ^= s_[0];
@@ -46,16 +49,6 @@ void Xoshiro256::applyJump(const std::array<std::uint64_t, 4>& table) noexcept {
     }
   }
   s_ = acc;
-}
-
-void Xoshiro256::jump() noexcept {
-  applyJump({0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
-             0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL});
-}
-
-void Xoshiro256::longJump() noexcept {
-  applyJump({0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
-             0x77710069854ee241ULL, 0x39109bb02acbe635ULL});
 }
 
 }  // namespace mcmcpar::rng

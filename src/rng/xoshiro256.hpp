@@ -8,8 +8,8 @@ namespace mcmcpar::rng {
 /// xoshiro256++ 1.0 (Blackman & Vigna 2019).
 ///
 /// The library's workhorse generator: 256 bits of state, period 2^256-1,
-/// passes BigCrush, and supports O(1)-space `jump()` / `longJump()`
-/// operations that advance the stream by 2^128 / 2^192 steps. Jumps are what
+/// passes BigCrush, and supports an O(1)-space `jump()` that advances the
+/// stream by 2^128 steps. Jumps are what
 /// make parallel MCMC reproducible: each partition/phase derives a disjoint
 /// substream, so results do not depend on thread scheduling.
 class Xoshiro256 {
@@ -36,18 +36,12 @@ class Xoshiro256 {
   /// of length 2^128 each are reachable by repeated jumps.
   void jump() noexcept;
 
-  /// Advance this generator 2^192 steps (for partitioning at a coarser
-  /// level than jump(), e.g. one longJump per worker process).
-  void longJump() noexcept;
-
   /// Access raw state (serialisation, tests).
   [[nodiscard]] const std::array<std::uint64_t, 4>& state() const noexcept {
     return s_;
   }
 
  private:
-  void applyJump(const std::array<std::uint64_t, 4>& table) noexcept;
-
   std::array<std::uint64_t, 4> s_;
 };
 

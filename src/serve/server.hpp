@@ -95,7 +95,7 @@ struct ServerStats {
 /// repeated requests skip process startup, PGM decode and budget
 /// construction entirely.
 ///
-/// Front-ends (socket, watch directory) translate their wire format into
+/// Front-ends (the socket, `mcmcpar_run --batch`) translate their input into
 /// submit()/cancel()/status()/result() calls and follow a job's progress by
 /// reading its event log through events(). The server itself speaks no
 /// protocol.

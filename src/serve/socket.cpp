@@ -655,6 +655,7 @@ std::uint64_t Client::submit(const std::string& jobLine) {
   std::string status, idText;
   tokens >> status >> idText;
   std::uint64_t id = 0;
+  if (status == "ERR") throw RejectedError("SUBMIT rejected: " + reply);
   if (status != "OK" || !parseId(idText, id)) {
     throw ProtocolError("SUBMIT rejected: " + reply);
   }
@@ -694,6 +695,7 @@ std::string Client::uploadFrame(const std::string& id, int width, int height,
   std::istringstream tokens(reply);
   std::string status, replyId, hash;
   tokens >> status >> replyId >> hash;
+  if (status == "ERR") throw RejectedError("UPLOAD rejected: " + reply);
   if (status != "OK" || replyId != id || hash.size() != 16) {
     throw ProtocolError("UPLOAD rejected: " + reply);
   }

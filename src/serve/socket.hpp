@@ -23,6 +23,13 @@ class ProtocolError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The server answered SUBMIT or UPLOAD with ERR: the request arrived and
+/// was refused, unlike a connection failure.
+class RejectedError : public ProtocolError {
+ public:
+  using ProtocolError::ProtocolError;
+};
+
 /// The TCP front-end: newline-delimited commands over 127.0.0.1, one
 /// handler thread per connection, translated into Server calls.
 ///
@@ -143,7 +150,7 @@ class Client {
   /// send() + readLine() for single-reply commands.
   [[nodiscard]] std::string request(const std::string& line);
 
-  /// SUBMIT a job line, returning the admitted id. Throws ProtocolError on
+  /// SUBMIT a job line, returning the admitted id. Throws RejectedError on
   /// an ERR reply (message carries the server's code and text).
   [[nodiscard]] std::uint64_t submit(const std::string& jobLine);
 
@@ -153,7 +160,7 @@ class Client {
   /// float32 pixels (nbytes = 4*w*h, native byte order — coordinator and
   /// endpoint must share endianness). `oneshot` asks the server not to
   /// insert the frame into its image cache. Returns the server's content
-  /// hash (16 hex digits); throws ProtocolError on an ERR reply.
+  /// hash (16 hex digits); throws RejectedError on an ERR reply.
   std::string upload(const std::string& id, const img::ImageU8& image,
                      bool oneshot = false);
   std::string upload(const std::string& id, const img::ImageF& image,

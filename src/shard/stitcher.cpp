@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analysis/matching.hpp"
+
 namespace mcmcpar::shard {
 
 namespace {
@@ -75,7 +77,7 @@ StitchResult stitchCircles(
           reach * reach) {
         continue;
       }
-      if (discIoU(kept->circle, candidate.circle) >= options.iouThreshold) {
+      if (analysis::circleIoU(kept->circle, candidate.circle) >= options.iouThreshold) {
         duplicate = true;
         break;
       }

@@ -361,7 +361,7 @@ class ShardStrategy final : public engine::Strategy {
       tile.acceptanceRate = report.acceptanceRate;
       tile.logPosterior = report.logPosterior;
       tile.cancelled = report.cancelled;
-      tile.error = batch.batch.errors[i];
+      tile.error = batch.errors[i];
       tile.diagnostics = report.diagnostics;
       result.circles[i] = report.circles;
       if (report.iterationsToConverge) {

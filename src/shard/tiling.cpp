@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/matching.hpp"
-
 namespace mcmcpar::shard {
 
 namespace {
@@ -103,10 +101,6 @@ void parseTileCount(const std::string& text, int& gx, int& gy) {
   gx = std::stoi(left);
   gy = std::stoi(right);
   if (gx < 1 || gy < 1) fail();
-}
-
-double discIoU(const model::Circle& a, const model::Circle& b) noexcept {
-  return analysis::circleIoU(a, b);
 }
 
 DensityMap scanDensity(const img::ImageF& image, int blockSize) {

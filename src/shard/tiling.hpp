@@ -102,8 +102,4 @@ struct DensityMap {
                                             int minTileSize = 32,
                                             double densityWeight = 4.0);
 
-/// Intersection-over-union of two discs (0 when disjoint, 1 when equal).
-[[nodiscard]] double discIoU(const model::Circle& a,
-                             const model::Circle& b) noexcept;
-
 }  // namespace mcmcpar::shard

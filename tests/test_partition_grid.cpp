@@ -130,14 +130,6 @@ TEST(IRect, ContainsPointHalfOpen) {
   EXPECT_FALSE(r.containsPoint(9.999, 30.0));
 }
 
-TEST(SnapToPixels, OutwardLowInwardHighClipped) {
-  const IRect r = snapToPixels(Bounds{1.4, 2.6, 10.2, 11.8}, 12, 12);
-  EXPECT_EQ(r.x0, 1);
-  EXPECT_EQ(r.y0, 2);
-  EXPECT_EQ(r.x0 + r.w, 11);
-  EXPECT_EQ(r.y0 + r.h, 12);
-}
-
 TEST(RoundToPixels, SharedCutLinesStayDisjoint) {
   const Bounds domain{0, 0, 101, 97};
   const auto cells = crossPartitions(domain, 33.7, 48.2);

@@ -101,8 +101,7 @@ INSTANTIATE_TEST_SUITE_P(Executors, ExecutorSweep,
                          ::testing::Values(LocalExecutor::Serial,
                                            LocalExecutor::InPlacePool,
                                            LocalExecutor::InPlaceOmp,
-                                           LocalExecutor::SplitMergeSerial,
-                                           LocalExecutor::SplitMergePool));
+                                           LocalExecutor::SplitMergeSerial));
 
 TEST(PeriodicSampler, SerialAndPoolAgreeExactly) {
   // Partition sessions are independent (disjoint writes, pre-derived

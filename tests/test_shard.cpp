@@ -122,15 +122,6 @@ TEST(Tiling, ParseTileCount) {
   }
 }
 
-TEST(Tiling, DiscIoU) {
-  const model::Circle a{10.0, 10.0, 5.0};
-  EXPECT_DOUBLE_EQ(shard::discIoU(a, a), 1.0);
-  EXPECT_DOUBLE_EQ(shard::discIoU(a, model::Circle{30.0, 10.0, 5.0}), 0.0);
-  const double partial = shard::discIoU(a, model::Circle{13.0, 10.0, 5.0});
-  EXPECT_GT(partial, 0.0);
-  EXPECT_LT(partial, 1.0);
-}
-
 // ---------------------------------------------------------------------------
 // Stitcher
 // ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@
 #include <string>
 #include <vector>
 
+#include <chrono>
 #include <fstream>
-#include <map>
 
 #include "analysis/metrics.hpp"
 #include "analysis/table_writer.hpp"
@@ -30,6 +30,7 @@
 #include "img/pnm_io.hpp"
 #include "img/synth.hpp"
 #include "obs/trace.hpp"
+#include "serve/server.hpp"
 #include "stream/sequence.hpp"
 
 using namespace mcmcpar;
@@ -46,7 +47,7 @@ struct CliOptions {
   int cells = 10;
   double radius = 9.0;
   std::string imagePath;  // when set, run on this PGM instead of a scene
-  std::string batchPath;  // when set, run the manifest through BatchRunner
+  std::string batchPath;  // when set, serve the manifest in-process
   std::string shardTiles;  // --shard KxL: run through the shard coordinator
   std::string sequence;   // --sequence N|GLOB: streaming frame-sequence run
   bool noWarmStart = false;    // --no-warm-start: cold-start every frame
@@ -89,10 +90,10 @@ void printUsage() {
       "  --fresh-fraction X  sequence: fresh births on warm frames as a\n"
       "                      fraction of the expected count (default 0.25)\n"
       "  --progress          print progress beats from RunHooks\n"
-      "  --batch FILE        run a job manifest through BatchRunner; each\n"
-      "                      line is '<image.pgm|synth> <strategy>\n"
-      "                      [@iters=N @seed=N @trace=N @label=S] [k=v ...]'\n"
-      "                      (grammar: docs/PROTOCOL.md)\n"
+      "  --batch FILE        serve a job manifest through an in-process\n"
+      "                      server; each line is a SUBMIT job line\n"
+      "                      '<image.pgm|synth> <strategy> [@directive=v ...]\n"
+      "                      [k=v ...]' (grammar: docs/PROTOCOL.md)\n"
       "  --jobs N            batch: concurrent-job cap (0 = thread budget)\n"
       "  --deadline X        batch: wall-clock deadline in seconds\n"
       "  --trace-out FILE    write a Chrome trace-event JSON timeline of the\n"
@@ -334,9 +335,25 @@ engine::Problem makeProblem(const img::ImageF& image, const CliOptions& cli) {
   return problem;
 }
 
-/// --batch: parse the manifest, load each distinct image once, run every
-/// job through BatchRunner under one shared thread budget, and print the
-/// per-job table plus the aggregate BatchReport.
+/// Block until job `id` is terminal and return its final report (nullopt
+/// only for an id the server does not know).
+std::optional<engine::RunReport> awaitResult(const serve::Server& server,
+                                             std::uint64_t id) {
+  std::uint64_t seq = 0;
+  for (;;) {
+    if (std::optional<engine::RunReport> report = server.result(id)) {
+      return report;
+    }
+    const auto events = server.events(id, seq, std::chrono::seconds(1));
+    if (!events) return std::nullopt;
+    if (!events->empty()) seq = events->back().seq;
+  }
+}
+
+/// --batch: parse the manifest and serve it through an in-process
+/// serve::Server, so each job line is admitted exactly as SUBMIT admits it
+/// (docs/PROTOCOL.md), then print the per-job table from the server's
+/// results.
 int runBatch(const CliOptions& cli) {
   std::ifstream manifest(cli.batchPath);
   if (!manifest) {
@@ -351,121 +368,91 @@ int runBatch(const CliOptions& cli) {
     return 2;
   }
 
-  // One image per distinct manifest path ("synth" = the CLI scene); the map
-  // is node-based, so Problem's borrowed pointers stay stable.
-  std::map<std::string, img::ImageF> images;
-  for (const engine::ManifestEntry& entry : entries) {
-    if (entry.inlineImage) {
-      // There is no connection to have UPLOADed on: inline frames are a
-      // socket-front-end feature (docs/PROTOCOL.md Binary frames).
-      std::fprintf(stderr,
-                   "%s: @image=inline is only valid on the socket "
-                   "front-end, not in --batch manifests (job '%s')\n",
-                   cli.batchPath.c_str(), entry.image.c_str());
+  serve::ServerOptions options;
+  options.threads = cli.resources.threads;
+  options.maxConcurrentJobs = cli.maxJobs;
+  options.defaultBudget = cli.budget;
+  options.seed = cli.resources.seed;
+  options.useOpenMp = cli.resources.useOpenMp;
+  options.radius = cli.radius;
+  options.synthWidth = cli.width;
+  options.synthHeight = cli.height;
+  options.synthCells = cli.cells;
+  options.retainJobs = entries.size();  // no result is pruned before it prints
+  serve::Server server(options);
+
+  const auto started = std::chrono::steady_clock::now();
+  std::vector<std::uint64_t> ids;
+  ids.reserve(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    engine::ManifestEntry entry = entries[i];
+    // Seeded by manifest position, not by server job id, so a job's answer
+    // does not depend on how its line is submitted.
+    if (!entry.seed) entry.seed = engine::deriveJobSeed(cli.resources.seed, i);
+    try {
+      ids.push_back(server.submit(entry));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s: job %zu (%s): %s\n", cli.batchPath.c_str(), i,
+                   entry.image.c_str(), e.what());
+      server.shutdown(0.0);  // jobs already admitted are cancelled
       return 2;
     }
-    if (images.count(entry.image) != 0) continue;
-    if (entry.image == "synth") {
-      img::Scene scene = img::generateScene(img::cellScene(
-          cli.width, cli.height, cli.cells, cli.radius, cli.resources.seed));
-      images.emplace(entry.image, std::move(scene.image));
-    } else {
-      try {
-        images.emplace(entry.image, img::toF(img::readPgm(entry.image)));
-      } catch (const img::PnmError& e) {
-        std::fprintf(stderr, "cannot read %s: %s\n", entry.image.c_str(),
-                     e.what());
-        return 2;
-      }
-    }
   }
-
-  std::vector<engine::BatchJob> jobs;
-  jobs.reserve(entries.size());
-  for (const engine::ManifestEntry& entry : entries) {
-    engine::BatchJob job;
-    job.strategy = entry.strategy;
-    job.options = entry.options;
-    CliOptions jobCli = cli;
-    if (entry.radius) jobCli.radius = *entry.radius;
-    job.problem = makeProblem(images.at(entry.image), jobCli);
-    if (entry.radiusStd) job.problem.prior.radiusStd = *entry.radiusStd;
-    if (entry.radiusMin) job.problem.prior.radiusMin = *entry.radiusMin;
-    if (entry.radiusMax) job.problem.prior.radiusMax = *entry.radiusMax;
-    if (entry.expectedCount) {
-      job.problem.estimateCount = false;
-      job.problem.prior.expectedCount = *entry.expectedCount;
-    }
-    job.budget = cli.budget;
-    // @directives on the manifest line override the CLI-wide defaults.
-    if (entry.iterations) job.budget.iterations = *entry.iterations;
-    if (entry.trace) job.budget.traceInterval = *entry.trace;
-    job.seed = entry.seed;
-    job.label = entry.label.empty() ? entry.image : entry.label;
-    jobs.push_back(std::move(job));
-  }
-
-  engine::BatchOptions options;
-  options.resources = cli.resources;
-  options.maxConcurrentJobs = cli.maxJobs;
-  options.deadlineSeconds = cli.deadline;
-
-  engine::BatchHooks hooks;
-  if (cli.progress) {
-    hooks.onJobDone = [](std::size_t index, const engine::RunReport& report) {
-      std::fprintf(stderr, "  job %zu (%s) %s\n", index,
-                   report.strategy.c_str(),
-                   report.cancelled ? "cancelled" : "done");
-    };
-  }
-
-  engine::BatchResult result;
-  try {
-    result = engine::BatchRunner().run(jobs, options, hooks);
-  } catch (const engine::EngineError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  // --deadline X: drain for X seconds, then cancel whatever is left.
+  if (cli.deadline > 0.0) server.shutdown(cli.deadline);
 
   analysis::Table table(
       {"#", "image", "strategy", "status", "seconds", "iters", "circles",
        "logP"});
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const engine::RunReport& report = result.reports[i];
-    const char* status = !result.batch.errors[i].empty() ? "failed"
-                         : report.cancelled              ? "cancelled"
-                                                         : "ok";
-    const auto circles = static_cast<long long>(report.circles.size());
+  std::vector<engine::RunReport> reports;
+  std::size_t ok = 0;
+  std::size_t cancelled = 0;
+  std::vector<std::string> errors(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    engine::RunReport report =
+        awaitResult(server, ids[i]).value_or(engine::RunReport{});
+    const serve::JobStatus status = server.status(ids[i]).value_or(
+        serve::JobStatus{});
+    const char* state = "ok";
+    if (status.state == serve::JobState::Failed) {
+      state = "failed";
+      errors[i] = status.error;
+    } else if (status.state == serve::JobState::Cancelled) {
+      state = "cancelled";
+      ++cancelled;
+    } else {
+      ++ok;
+    }
+    if (cli.progress) {
+      std::fprintf(stderr, "  job %zu (%s) %s\n", i, status.strategy.c_str(),
+                   state);
+    }
     table.addRow(
-        {analysis::Table::integer(static_cast<long long>(i)), jobs[i].label,
-         report.strategy, status, analysis::Table::num(report.wallSeconds, 3),
+        {analysis::Table::integer(static_cast<long long>(i)),
+         status.label, status.strategy, state, analysis::Table::num(report.wallSeconds, 3),
          analysis::Table::integer(static_cast<long long>(report.iterations)),
-         analysis::Table::integer(circles),
+         analysis::Table::integer(
+             static_cast<long long>(report.circles.size())),
          analysis::Table::num(report.logPosterior, 1)});
+    reports.push_back(std::move(report));
   }
-  table.print(std::cout);
+  server.shutdown(0.0);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
 
-  const engine::BatchReport& batch = result.batch;
-  std::printf(
-      "\nbatch: %zu jobs (%zu ok, %zu cancelled, %zu failed) in %.3f s\n"
-      "       %.2f jobs/s, latency p50 %.3f s / p95 %.3f s, "
-      "%u threads budgeted, %u jobs in flight\n",
-      batch.jobs, batch.completed, batch.cancelled, batch.failed,
-      batch.wallSeconds, batch.jobsPerSecond, batch.p50Seconds,
-      batch.p95Seconds, batch.threadBudget, batch.concurrentJobs);
-  for (const auto& [name, totals] : batch.perStrategy) {
-    std::printf("       %-12s %zu job(s), %llu iters, %.3f s\n", name.c_str(),
-                totals.jobs,
-                static_cast<unsigned long long>(totals.iterations),
-                totals.wallSeconds);
-  }
-  for (std::size_t i = 0; i < batch.errors.size(); ++i) {
-    if (!batch.errors[i].empty()) {
-      std::fprintf(stderr, "job %zu failed: %s\n", i,
-                   batch.errors[i].c_str());
+  table.print(std::cout);
+  std::printf("\n");
+  for (const engine::RunReport& report : reports) printExtras(report);
+  const std::size_t failed = ids.size() - ok - cancelled;
+  std::printf("\nbatch: %zu jobs (%zu ok, %zu cancelled, %zu failed) in %.3f s\n",
+              ids.size(), ok, cancelled, failed, seconds);
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    if (!errors[i].empty()) {
+      std::fprintf(stderr, "job %zu failed: %s\n", i, errors[i].c_str());
     }
   }
-  return batch.failed == 0 ? 0 : 1;
+  return failed == 0 ? 0 : 1;
 }
 
 /// --sequence: build the frame list (synthetic drifting scene or PGM glob),

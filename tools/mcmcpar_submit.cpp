@@ -319,6 +319,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "job %llu admitted\n",
                  static_cast<unsigned long long>(id));
     return waitAndReport(client, id, progress);
+  } catch (const serve::RejectedError& e) {  // the server answered ERR
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   } catch (const serve::ProtocolError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -3,9 +3,11 @@
 #   1. manifest    — submit every job line of the manifest (each one is a
 #                    valid SUBMIT line) with mcmcpar_submit --no-wait, then
 #                    --wait on each id and require every job to end done;
-#   2. socket mode — SUBMIT/WAIT/RESULT/STATS a job through mcmcpar_submit;
+#   2. socket mode — SUBMIT/WAIT/RESULT/STATS a job through mcmcpar_submit,
+#                    and a rejected SUBMIT exits 1;
 #   3. METRICS     — the Prometheus exposition, monotone across scrapes;
-#   4. SHUTDOWN    — check the server drains and exits cleanly.
+#   4. SHUTDOWN    — check the server drains and exits cleanly, after which
+#                    a submit to the closed port exits 2.
 #
 # usage: serve_smoke.sh <mcmcpar_serve> <mcmcpar_submit> <manifest>
 set -euo pipefail
@@ -60,6 +62,11 @@ OUT=$("$SUBMIT_BIN" --port "$PORT" --progress synth serial @iters=400 @label=soc
 echo "$OUT"
 echo "$OUT" | grep -q '"state": "done"' || { echo "job did not finish"; exit 1; }
 "$SUBMIT_BIN" --port "$PORT" --stats | grep -q '"done"' || exit 1
+# An ERR reply exits 1, distinct from a usage or connection error (2).
+RC=0
+"$SUBMIT_BIN" --port "$PORT" --no-wait /no/such.pgm serial 2> "$WORK/rejected.txt" || RC=$?
+[[ $RC -eq 1 ]] || { echo "rejected SUBMIT exited $RC, expected 1"; cat "$WORK/rejected.txt"; exit 1; }
+grep -q 'ERR' "$WORK/rejected.txt" || { cat "$WORK/rejected.txt"; exit 1; }
 
 echo "== METRICS: Prometheus exposition, monotone across scrapes =="
 "$SUBMIT_BIN" --port "$PORT" --metrics > "$WORK/metrics1.txt"
@@ -97,5 +104,9 @@ if kill -0 "$SERVER_PID" 2>/dev/null; then
 fi
 SERVER_PID=""
 grep -q '^served' "$WORK/serve.log" || { cat "$WORK/serve.log"; exit 1; }
+# The port has no listener now: a connection error exits 2.
+RC=0
+"$SUBMIT_BIN" --port "$PORT" --no-wait synth serial 2> /dev/null || RC=$?
+[[ $RC -eq 2 ]] || { echo "submit to a closed port exited $RC, expected 2"; exit 1; }
 
 echo "serve smoke OK"
