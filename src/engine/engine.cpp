@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include "engine/registry.hpp"
+#include "rng/splitmix64.hpp"
 
 namespace mcmcpar::engine {
 
@@ -21,6 +22,18 @@ RunReport Engine::run(const std::string& strategy, const Problem& problem,
   const std::unique_ptr<Strategy> instance = make(strategy, options);
   instance->prepare(problem);
   return instance->run(budget, hooks);
+}
+
+std::uint64_t deriveJobSeed(std::uint64_t masterSeed,
+                            std::size_t jobIndex) noexcept {
+  // Chained SplitMix64 absorption: the master seed is mixed through one
+  // bijection, the index through a second, so no (seed, index) pair can
+  // collide with another index under the same seed.
+  rng::SplitMix64 root(masterSeed);
+  rng::SplitMix64 mixed(root.next() +
+                        0x9E3779B97F4A7C15ULL *
+                            (static_cast<std::uint64_t>(jobIndex) + 1));
+  return mixed.next();
 }
 
 }  // namespace mcmcpar::engine

@@ -51,12 +51,10 @@ struct Problem {
   /// build their state through the common seeding path (serial,
   /// speculative, periodic) commit these circles against the *current*
   /// image — re-scoring them under the new likelihood — and then add only
-  /// `warmFreshFraction` of the usual random initial circles so new
-  /// objects can still appear. Strategies with bespoke multi-state
-  /// initialisation (mc3, partition pipelines, sharded) ignore it.
+  /// a quarter of the usual random initial circles so new objects can
+  /// still appear. Strategies with bespoke multi-state initialisation (mc3,
+  /// partition pipelines, sharded) ignore it.
   std::vector<model::Circle> warmStart;
-  double warmFreshFraction = 0.25;  ///< fresh random seeds, as a fraction
-                                    ///< of the eq. 5 expected count
 };
 
 /// Execution resources shared by every strategy — the one place the
@@ -66,9 +64,10 @@ struct ExecResources {
   bool useOpenMp = false;  ///< prefer OpenMP over the library ThreadPool
   std::uint64_t seed = 1;
 
-  /// When set (borrowed, e.g. by BatchRunner), strategies resolve `threads`
-  /// through a par::PoolLease against this shared budget instead of the
-  /// whole machine, so concurrent jobs cannot oversubscribe the box.
+  /// When set (borrowed, e.g. by serve::Server or a sharded job's tiles),
+  /// strategies resolve `threads` through a par::PoolLease against this
+  /// shared budget instead of the whole machine, so concurrent jobs cannot
+  /// oversubscribe the box.
   par::PoolBudget* poolBudget = nullptr;
 };
 
@@ -158,5 +157,11 @@ class Engine {
   ExecResources resources_;
   const StrategyRegistry* registry_;
 };
+
+/// The per-job seed rule for jobs without an explicit seed: a
+/// SplitMix64-style mix of a master seed and the job's index (a served job
+/// id, a shard tile, a sequence frame), collision-free across indices.
+[[nodiscard]] std::uint64_t deriveJobSeed(std::uint64_t masterSeed,
+                                          std::size_t jobIndex) noexcept;
 
 }  // namespace mcmcpar::engine

@@ -22,6 +22,11 @@ namespace mcmcpar::engine {
 
 namespace {
 
+/// Fresh random initial circles on a warm-started chain, as a fraction of
+/// the eq. 5 expected count: enough births for objects new to the frame
+/// while the carried circles hold the previous posterior mode.
+constexpr double kWarmFreshFraction = 0.25;
+
 /// Shared prepare() plumbing: problem validation, eq. 5 count estimation,
 /// move-registry construction, and the common RunReport fields.
 class StrategyBase : public Strategy {
@@ -58,8 +63,8 @@ class StrategyBase : public Strategy {
   }
 
   /// Resolve the `threads` knob for this run: against the whole machine
-  /// when standalone, against the shared budget when running inside a
-  /// batch. Held for the duration of run() so concurrent jobs see the
+  /// when standalone, against the shared budget when running as a served
+  /// job or a shard tile. Held for the duration of run() so concurrent jobs see the
   /// reduced availability.
   [[nodiscard]] par::PoolLease leaseThreads() const {
     return par::PoolLease::acquire(resources_.poolBudget, resources_.threads);
@@ -86,9 +91,8 @@ class StrategyBase : public Strategy {
       if (!state.discInDomain(c)) continue;
       (void)state.commitAdd(c);
     }
-    const double fraction = std::clamp(problem_.warmFreshFraction, 0.0, 1.0);
     const auto fresh = static_cast<std::size_t>(std::llround(
-        fraction * static_cast<double>(initialCircleCount())));
+        kWarmFreshFraction * static_cast<double>(initialCircleCount())));
     state.initialiseRandom(fresh, stream);
     return state;
   }
@@ -560,8 +564,8 @@ const StrategyRegistry& StrategyRegistry::builtin() {
                                                         opts,
                                                         /*blind=*/false);
             }});
-    // The sharding coordinator lives one layer up (src/shard: it composes
-    // BatchRunner and the serve client), so it registers itself.
+    // The sharding coordinator lives one layer up (src/shard: it runs its
+    // own tiles and drives the serve client), so it registers itself.
     shard::registerShardedStrategy(*r);
     return r;
   }();

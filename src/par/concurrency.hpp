@@ -21,7 +21,8 @@ class ThreadPool;
 
 class PoolLease;
 
-/// A worker-thread budget shared by concurrent jobs (engine::BatchRunner).
+/// A worker-thread budget shared by concurrent jobs (the jobs of one
+/// serve::Server, the tiles of one sharded run).
 ///
 /// Without a budget every strategy resolves its `threads` knob against the
 /// whole machine, so 16 concurrent jobs on an 8-core box would spawn up to

@@ -1,171 +1,16 @@
-#include "engine/batch.hpp"
+#include "serve/job_line.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <istream>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
-#include "engine/registry.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "par/concurrency.hpp"
-#include "par/thread_pool.hpp"
-#include "rng/splitmix64.hpp"
+#include "engine/options.hpp"
 #include "shard/tiling.hpp"
 
-namespace mcmcpar::engine {
+namespace mcmcpar::serve {
 
-std::uint64_t deriveJobSeed(std::uint64_t batchSeed,
-                            std::size_t jobIndex) noexcept {
-  // Chained SplitMix64 absorption: the batch seed is mixed through one
-  // bijection, the index through a second, so no (seed, index) pair can
-  // collide with another index under the same seed.
-  rng::SplitMix64 root(batchSeed);
-  rng::SplitMix64 mixed(root.next() +
-                        0x9E3779B97F4A7C15ULL *
-                            (static_cast<std::uint64_t>(jobIndex) + 1));
-  return mixed.next();
-}
-
-BatchRunner::BatchRunner(const StrategyRegistry* registry)
-    : registry_(registry != nullptr ? registry
-                                    : &StrategyRegistry::builtin()) {}
-
-BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
-                             const BatchOptions& options,
-                             const BatchHooks& hooks) const {
-  const std::size_t n = jobs.size();
-  BatchResult result;
-  result.reports.resize(n);
-  result.errors.assign(n, "");
-
-  // Either a private budget for this one call, or the caller's long-lived
-  // one (a sharded job runs its tiles inside its server's budget).
-  std::optional<par::PoolBudget> ownedBudget;
-  par::PoolBudget* budgetPtr = options.sharedBudget;
-  if (budgetPtr == nullptr) {
-    ownedBudget.emplace(options.resources.threads);
-    budgetPtr = &*ownedBudget;
-  }
-  par::PoolBudget& budget = *budgetPtr;
-
-  // One runner per budgeted thread, never more runners than jobs.
-  unsigned concurrency = static_cast<unsigned>(
-      std::min<std::size_t>(budget.total(), std::max<std::size_t>(n, 1)));
-
-  // The shared budget: job-runner threads are charged up front, strategies
-  // lease their internal workers from the remainder. A shared budget may be
-  // partially drained by concurrent holders — run with what it grants (at
-  // least the calling thread) and return it on every exit path.
-  const unsigned charged = budget.tryAcquire(concurrency);
-  if (options.sharedBudget != nullptr) {
-    concurrency = std::max(charged, 1u);
-  }
-  struct BudgetReturn {
-    par::PoolBudget& budget;
-    unsigned charged;
-    ~BudgetReturn() { budget.release(charged); }
-  } budgetReturn{budget, charged};
-
-  // Validate and instantiate every strategy before any work starts: an
-  // unknown name or bad option fails the batch as one EngineError instead
-  // of surfacing halfway through a long run.
-  std::vector<std::unique_ptr<Strategy>> strategies;
-  strategies.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ExecResources resources = options.resources;
-    resources.poolBudget = &budget;
-    resources.seed = jobs[i].seed.value_or(
-        deriveJobSeed(options.resources.seed, i));
-    try {
-      strategies.push_back(
-          registry_->create(jobs[i].strategy, resources, jobs[i].options));
-    } catch (const EngineError& e) {
-      const std::string label =
-          jobs[i].label.empty() ? "" : " (" + jobs[i].label + ")";
-      throw EngineError("batch job #" + std::to_string(i) + label + ": " +
-                        e.what());
-    }
-  }
-
-  std::atomic<bool> batchCancelled{false};
-  const auto shouldStop = [&]() -> bool {
-    if (batchCancelled.load(std::memory_order_relaxed)) return true;
-    const bool stop = hooks.cancelRequested && hooks.cancelRequested();
-    if (stop) batchCancelled.store(true, std::memory_order_relaxed);
-    return stop;
-  };
-
-  std::mutex doneMutex;
-  const auto runJob = [&](std::size_t i) {
-    RunReport& report = result.reports[i];
-    if (shouldStop()) {
-      // Never started: an empty cancelled report keeps the output vector
-      // index-aligned without inventing chain results.
-      report.strategy = jobs[i].strategy;
-      report.cancelled = true;
-      report.threadsUsed = 0;
-    } else {
-      RunHooks jobHooks;
-      jobHooks.cancelRequested = shouldStop;
-      try {
-        obs::Span jobSpan("engine", "job:" + jobs[i].strategy);
-        jobSpan.arg("label", jobs[i].label.empty() ? std::to_string(i)
-                                                   : jobs[i].label);
-        strategies[i]->prepare(jobs[i].problem);
-        report = strategies[i]->run(jobs[i].budget, jobHooks);
-        obs::Registry::global()
-            .counter("mcmcpar_engine_runs_total", "Strategy runs completed.",
-                     {{"strategy", jobs[i].strategy}})
-            .add();
-      } catch (const std::exception& e) {
-        // EngineError and anything else: one bad job must not sink the batch.
-        report = RunReport{};
-        report.strategy = jobs[i].strategy;
-        report.threadsUsed = 0;
-        result.errors[i] = e.what();
-      }
-    }
-    if (hooks.onJobDone) {
-      const std::scoped_lock lock(doneMutex);
-      hooks.onJobDone(i, report);
-    }
-  };
-
-  if (concurrency <= 1) {
-    for (std::size_t i = 0; i < n; ++i) runJob(i);
-  } else {
-    // concurrency-1 workers plus the calling thread: parallelFor's caller
-    // helps drain the queue, so exactly `concurrency` jobs run at once.
-    par::ThreadPool pool(concurrency - 1);
-    pool.parallelFor(n, runJob);
-  }
-  return result;
-}
-
-RunReport BatchRunner::runOne(const BatchJob& job,
-                              const ExecResources& resources,
-                              const RunHooks& hooks) const {
-  ExecResources jobResources = resources;
-  if (job.seed) jobResources.seed = *job.seed;
-  const std::unique_ptr<Strategy> strategy =
-      registry_->create(job.strategy, jobResources, job.options);
-  obs::Span jobSpan("engine", "job:" + job.strategy);
-  jobSpan.arg("label", job.label);
-  {
-    obs::Span prepareSpan("engine", "prepare:" + job.strategy);
-    strategy->prepare(job.problem);
-  }
-  RunReport report = strategy->run(job.budget, hooks);
-  obs::Registry::global()
-      .counter("mcmcpar_engine_runs_total", "Strategy runs completed.",
-               {{"strategy", job.strategy}})
-      .add();
-  return report;
-}
+using engine::EngineError;
+using engine::OptionMap;
 
 namespace {
 
@@ -183,9 +28,9 @@ double directiveDbl(const std::string& key, const std::string& value) {
 
 }  // namespace
 
-ManifestEntry parseManifestLine(const std::string& line) {
+JobSpec parseManifestLine(const std::string& line) {
   std::istringstream tokens(line);
-  ManifestEntry entry;
+  JobSpec entry;
   if (!(tokens >> entry.image) || !(tokens >> entry.strategy)) {
     throw EngineError(
         "expected '<image.pgm|synth> <strategy> [@directive=value ...] "
@@ -351,8 +196,8 @@ ManifestEntry parseManifestLine(const std::string& line) {
   return entry;
 }
 
-std::vector<ManifestEntry> parseBatchManifest(std::istream& in) {
-  std::vector<ManifestEntry> entries;
+std::vector<JobSpec> parseBatchManifest(std::istream& in) {
+  std::vector<JobSpec> entries;
   std::string line;
   std::size_t lineNumber = 0;
   while (std::getline(in, line)) {
@@ -370,4 +215,4 @@ std::vector<ManifestEntry> parseBatchManifest(std::istream& in) {
   return entries;
 }
 
-}  // namespace mcmcpar::engine
+}  // namespace mcmcpar::serve

@@ -10,16 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "engine/batch.hpp"
+#include "engine/engine.hpp"
 #include "engine/options.hpp"
 #include "serve/fair_queue.hpp"
+#include "serve/job_line.hpp"
 
 namespace mcmcpar::serve {
-
-/// What a client submits: one job line of the shared manifest grammar
-/// (docs/PROTOCOL.md) — image, strategy, strategy options and the
-/// job-level @directives.
-using JobSpec = engine::ManifestEntry;
 
 /// Thrown by JobQueue::submit when bounded admission is at capacity. A
 /// distinct type so the socket front-end can answer `ERR QUEUE_FULL`

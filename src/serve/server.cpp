@@ -8,6 +8,7 @@
 
 #include "core/runtime_predictor.hpp"
 #include "engine/registry.hpp"
+#include "img/synth.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -25,6 +26,10 @@ Server::Server(ServerOptions options)
       img::cellScene(options_.synthWidth, options_.synthHeight,
                      options_.synthCells, options_.radius, options_.seed));
   synthImage_ = std::make_shared<const img::ImageF>(std::move(scene.image));
+  synthTruth_.reserve(scene.truth.size());
+  for (const img::SceneCircle& t : scene.truth) {
+    synthTruth_.push_back({t.x, t.y, t.r});
+  }
 
   unsigned workers = options_.maxConcurrentJobs != 0
                          ? options_.maxConcurrentJobs
@@ -232,7 +237,7 @@ std::uint64_t Server::submit(
 }
 
 std::uint64_t Server::submitLine(const std::string& line) {
-  return submit(engine::parseManifestLine(line));
+  return submit(parseManifestLine(line));
 }
 
 CancelOutcome Server::cancel(std::uint64_t id) {
@@ -446,19 +451,15 @@ void Server::workerLoop(const std::stop_token& stop) {
           error = e.what();
         }
       } else {
-        engine::BatchJob job;
-        job.strategy = spec->strategy;
-        job.options = spec->options;
-        job.problem = problemFor(options_, *spec);
-        job.problem.filtered = frames.front().image.get();
-        job.budget = budgetFor(options_, *spec);
-        job.seed = spec->seed;
-
         engine::ExecResources resources;
         resources.threads = options_.threads;
         resources.useOpenMp = options_.useOpenMp;
         resources.poolBudget = &budget_;
-        resources.seed = engine::deriveJobSeed(options_.seed, id);
+        resources.seed =
+            spec->seed ? *spec->seed : engine::deriveJobSeed(options_.seed, id);
+
+        engine::Problem problem = problemFor(options_, *spec);
+        problem.filtered = frames.front().image.get();
 
         engine::RunHooks hooks;
         hooks.cancelRequested = [this, id] {
@@ -469,7 +470,20 @@ void Server::workerLoop(const std::stop_token& stop) {
         };
 
         try {
-          report = runner_.runOne(job, resources, hooks);
+          const std::unique_ptr<engine::Strategy> strategy =
+              engine::StrategyRegistry::builtin().create(
+                  spec->strategy, resources, spec->options);
+          obs::Span engineSpan("engine", "job:" + spec->strategy);
+          engineSpan.arg("label", spec->label);
+          {
+            obs::Span prepareSpan("engine", "prepare:" + spec->strategy);
+            strategy->prepare(problem);
+          }
+          report = strategy->run(budgetFor(options_, *spec), hooks);
+          obs::Registry::global()
+              .counter("mcmcpar_engine_runs_total", "Strategy runs completed.",
+                       {{"strategy", spec->strategy}})
+              .add();
         } catch (const std::exception& e) {
           error = e.what();
         }

@@ -10,10 +10,11 @@
 #include <thread>
 #include <vector>
 
-#include "engine/batch.hpp"
-#include "img/synth.hpp"
+#include "engine/engine.hpp"
+#include "model/circle.hpp"
 #include "par/concurrency.hpp"
 #include "serve/image_cache.hpp"
+#include "serve/job_line.hpp"
 #include "serve/job_queue.hpp"
 #include "stream/sequence.hpp"
 
@@ -91,14 +92,13 @@ struct ServerStats {
 
 /// The persistent serving core: owns one par::PoolBudget, one ImageCache
 /// and one JobQueue for its whole lifetime, and executes admitted jobs on
-/// resident worker threads through engine::BatchRunner::runOne — so
-/// repeated requests skip process startup, PGM decode and budget
-/// construction entirely.
+/// resident worker threads — so repeated requests skip process startup,
+/// PGM decode and budget construction entirely.
 ///
-/// Front-ends (the socket, `mcmcpar_run --batch`) translate their input into
-/// submit()/cancel()/status()/result() calls and follow a job's progress by
-/// reading its event log through events(). The server itself speaks no
-/// protocol.
+/// Front-ends (the socket, every `mcmcpar_run` mode) translate their input
+/// into submit()/cancel()/status()/result() calls and follow a job's
+/// progress by reading its event log through events(). The server itself
+/// speaks no protocol.
 class Server {
  public:
   explicit Server(ServerOptions options = {});
@@ -162,6 +162,12 @@ class Server {
     return options_;
   }
 
+  /// The ground truth of the "synth" image, so a front-end can score its
+  /// detections (mcmcpar_run's F1 column).
+  [[nodiscard]] const std::vector<model::Circle>& synthTruth() const noexcept {
+    return synthTruth_;
+  }
+
  private:
   void workerLoop(const std::stop_token& stop);
   /// Scrape-time collector registered with obs::Registry::global(): renders
@@ -181,8 +187,8 @@ class Server {
   par::PoolBudget budget_;
   ImageCache cache_;
   JobQueue queue_;
-  engine::BatchRunner runner_;
   std::shared_ptr<const img::ImageF> synthImage_;
+  std::vector<model::Circle> synthTruth_;
   std::chrono::steady_clock::time_point started_;
 
   std::mutex imageMutex_;  ///< pins job-id -> frame(s) while the job is alive

@@ -14,7 +14,6 @@
 #include <iterator>
 #include <sstream>
 
-#include "engine/batch.hpp"
 #include "engine/options.hpp"
 #include "img/pnm_io.hpp"
 #include "obs/metrics.hpp"
@@ -415,7 +414,7 @@ std::string SocketFrontend::dispatch(const std::string& line, int fd,
     std::string payload;
     std::getline(tokens, payload);
     try {
-      const engine::ManifestEntry entry = engine::parseManifestLine(payload);
+      const JobSpec entry = parseManifestLine(payload);
       std::shared_ptr<const img::ImageF> inlineImage;
       std::vector<std::shared_ptr<const img::ImageF>> inlineFrames;
       if (entry.inlineImage && !entry.sequence.empty()) {

@@ -6,10 +6,13 @@
 #include "shard/strategy.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -21,12 +24,12 @@
 #include <vector>
 
 #include "core/runtime_predictor.hpp"
-#include "engine/batch.hpp"
 #include "engine/registry.hpp"
 #include "model/posterior.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/concurrency.hpp"
+#include "par/thread_pool.hpp"
 #include "par/virtual_clock.hpp"
 #include "partition/prior_estimation.hpp"
 #include "serve/protocol.hpp"
@@ -319,56 +322,104 @@ class ShardStrategy final : public engine::Strategy {
     return crops;
   }
 
-  // ---- local backend: a BatchRunner fan-out under the shared budget ----
+  // ---- local backend: the tiles on a ThreadPool under the shared budget ----
+
+  /// Run tile `i` on the calling thread, seeded deriveJobSeed(seed, i) as
+  /// the socket backend seeds it. Throws whatever creation or the run
+  /// throws.
+  [[nodiscard]] engine::RunReport runTile(
+      std::size_t i, const img::ImageF& crop, const TileSpec& spec,
+      const engine::RunBudget& tileBudget, engine::ExecResources resources,
+      const engine::RunHooks& tileHooks) const {
+    resources.seed = engine::deriveJobSeed(resources_.seed, i);
+    const std::unique_ptr<engine::Strategy> strategy =
+        registry_->create(innerStrategy_, resources, innerOptions_);
+    obs::Span jobSpan("engine", "job:" + innerStrategy_);
+    jobSpan.arg("label", tileLabel(spec));
+    strategy->prepare(tileProblem(crop, spec));
+    engine::RunReport report = strategy->run(tileBudget, tileHooks);
+    obs::Registry::global()
+        .counter("mcmcpar_engine_runs_total", "Strategy runs completed.",
+                 {{"strategy", innerStrategy_}})
+        .add();
+    return report;
+  }
 
   [[nodiscard]] BackendResult runLocal(
       const TileGrid& grid, const std::vector<std::uint64_t>& budgets,
       const engine::RunBudget& budget, const engine::RunHooks& hooks) const {
     const std::vector<img::ImageF> crops = tileCrops(grid);
-    std::vector<engine::BatchJob> jobs;
-    jobs.reserve(grid.tiles.size());
-    for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
-      jobs.push_back({.strategy = innerStrategy_,
-                      .options = innerOptions_,
-                      .problem = tileProblem(crops[i], grid.tiles[i]),
-                      .budget = {budgets[i], budget.traceInterval},
-                      .label = tileLabel(grid.tiles[i]),
-                      .seed = std::nullopt});  // deriveJobSeed, as remote
+    const std::size_t n = grid.tiles.size();
+
+    // One runner per leased thread, never more than the tiles. A served
+    // job's worker already holds its own thread in the server's budget, so
+    // the lease counts the calling thread as paid. Standalone, a private
+    // budget of `threads` stands in, with the calling thread charged to it
+    // first. Inner strategies lease their workers from what is left.
+    std::optional<par::PoolBudget> ownBudget;
+    par::PoolBudget* tileBudget = resources_.poolBudget;
+    if (tileBudget == nullptr) {
+      tileBudget = &ownBudget.emplace(resources_.threads);
+      (void)tileBudget->tryAcquire(1);
     }
+    const par::PoolLease lease =
+        par::PoolLease::acquire(tileBudget, static_cast<unsigned>(n));
+    engine::ExecResources tileResources = resources_;
+    tileResources.poolBudget = tileBudget;
 
-    engine::BatchOptions options;
-    options.resources = resources_;
-    options.resources.poolBudget = nullptr;
-    options.sharedBudget = resources_.poolBudget;
-
-    engine::BatchHooks batchHooks;
-    batchHooks.cancelRequested = hooks.cancelRequested;
-    // Serialised by the runner, so the whole-shard beat stays monotone.
-    batchHooks.onJobDone =
-        [progress = progressBeat(hooks, budgets)](
-            std::size_t i, const engine::RunReport&) mutable { progress(i); };
-    const engine::BatchResult batch =
-        engine::BatchRunner(registry_).run(jobs, options, batchHooks);
+    // A cancel is sticky: once seen, running tiles stop at their next
+    // quantum and tiles not yet started never start.
+    std::atomic<bool> stop{false};
+    engine::RunHooks tileHooks;
+    tileHooks.cancelRequested = [&stop, &hooks] {
+      if (stop) return true;
+      const bool requested = hooks.cancelRequested && hooks.cancelRequested();
+      if (requested) stop = true;
+      return requested;
+    };
 
     BackendResult result;
-    result.report.tiles.resize(grid.tiles.size());
-    result.circles.resize(grid.tiles.size());
-    for (std::size_t i = 0; i < grid.tiles.size(); ++i) {
-      const engine::RunReport& report = batch.reports[i];
+    result.report.tiles.resize(n);
+    result.circles.resize(n);
+    std::mutex doneMutex;
+    auto progress = progressBeat(hooks, budgets);
+    const auto run = [&](std::size_t i) {
       TileRun& tile = result.report.tiles[i];
+      engine::RunReport report;
+      if (tileHooks.cancelRequested()) {
+        report.cancelled = true;  // never started
+      } else {
+        try {
+          report = runTile(i, crops[i], grid.tiles[i],
+                           {budgets[i], budget.traceInterval}, tileResources,
+                           tileHooks);
+        } catch (const std::exception& e) {
+          tile.error = e.what();  // one bad tile must not sink its siblings
+        }
+      }
       tile.iterations = report.iterations;
       tile.wallSeconds = report.wallSeconds;
       tile.acceptanceRate = report.acceptanceRate;
       tile.logPosterior = report.logPosterior;
       tile.cancelled = report.cancelled;
-      tile.error = batch.errors[i];
-      tile.diagnostics = report.diagnostics;
-      result.circles[i] = report.circles;
+      tile.diagnostics = std::move(report.diagnostics);
+      result.circles[i] = std::move(report.circles);
+
+      const std::scoped_lock lock(doneMutex);
       if (report.iterationsToConverge) {
         result.iterationsToConverge =
             std::max(result.iterationsToConverge.value_or(0),
                      *report.iterationsToConverge);
       }
+      progress(i);  // serialised, so the whole-shard beat stays monotone
+    };
+    if (lease.threads() <= 1) {
+      for (std::size_t i = 0; i < n; ++i) run(i);
+    } else {
+      // threads-1 workers plus the calling thread: parallelFor's caller
+      // helps drain the queue, so exactly lease.threads() tiles run at once.
+      par::ThreadPool pool(lease.threads() - 1);
+      pool.parallelFor(n, run);
     }
     return result;
   }

@@ -8,7 +8,8 @@ namespace mcmcpar::shard {
 
 /// Register the "sharded" strategy — the sharding coordinator that splits
 /// one image into overlapping tiles, fans them out as independent jobs
-/// (locally through engine::BatchRunner or remotely through serve::Client)
+/// (locally on a ThreadPool leased from the shared budget, or remotely
+/// through serve::Client)
 /// and stitches the per-tile results back into one RunReport carrying a
 /// ShardReport. Called by StrategyRegistry::builtin(); also usable to
 /// extend a custom registry. Placement, requeue, hedging and socket-backend

@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "engine/batch.hpp"
 #include "engine/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -69,7 +68,6 @@ engine::RunReport SequenceRunner::run(const SequenceSpec& spec,
     engine::Problem problem = spec.problem;
     problem.filtered = frame.image.get();
     problem.warmStart.clear();
-    problem.warmFreshFraction = spec.freshFraction;
     std::size_t carriedCount = 0;
     if (spec.warmStart && k > 0) {
       problem.warmStart = carried;

@@ -35,9 +35,6 @@ struct SequenceSpec {
   engine::Problem problem;
   engine::RunBudget budget;  ///< per-frame budget
   bool warmStart = true;     ///< seed frame N from frame N-1's circles
-  /// Fresh random initial circles on warm-started frames, as a fraction of
-  /// the eq. 5 expected count (lets new objects enter the scene).
-  double freshFraction = 0.25;
   bool track = true;          ///< run the cross-frame Tracker
   double trackMinIoU = 0.25;  ///< IoU gate for track association
 };

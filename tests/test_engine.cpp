@@ -383,5 +383,28 @@ TEST(RunHooks, ImmediateCancellationStillReturnsAReport) {
   EXPECT_EQ(report.iterations, 0u);
 }
 
+TEST(JobSeed, DerivedSeedsAreDistinctAndDeterministic) {
+  EXPECT_EQ(deriveJobSeed(1, 0), deriveJobSeed(1, 0));
+  EXPECT_NE(deriveJobSeed(1, 0), deriveJobSeed(1, 1));
+  EXPECT_NE(deriveJobSeed(1, 0), deriveJobSeed(2, 0));
+
+  // Two identical jobs seeded by index must not duplicate work: the
+  // derived seeds differ, so the chains explore independently.
+  const img::Scene scene =
+      img::generateScene(img::cellScene(80, 80, 4, 8.0, 33));
+  Problem problem;
+  problem.filtered = &scene.image;
+  problem.prior.radiusMean = 8.0;
+  problem.prior.radiusStd = 1.0;
+  problem.prior.radiusMin = 4.0;
+  problem.prior.radiusMax = 13.0;
+  const auto run = [&](std::size_t index) {
+    return Engine(ExecResources{1, false, deriveJobSeed(1, index)})
+        .run("serial", problem, RunBudget{1500, 0})
+        .logPosterior;
+  };
+  EXPECT_NE(run(0), run(1));
+}
+
 }  // namespace
 }  // namespace mcmcpar::engine

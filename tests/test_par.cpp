@@ -342,5 +342,22 @@ TEST(OmpSupport, ParallelForRunsInsideOmpRegion) {
 }
 #endif
 
+TEST(PoolBudgetBlocking, TryAcquireForWakesOnRelease) {
+  PoolBudget budget(1);
+  ASSERT_EQ(budget.tryAcquire(1), 1u);
+  std::atomic<unsigned> granted{0};
+  std::jthread waiter([&] {
+    granted = budget.tryAcquireFor(1, std::chrono::milliseconds(5000));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  budget.release(1);
+  waiter.join();
+  EXPECT_EQ(granted.load(), 1u);
+  EXPECT_EQ(budget.available(), 0u);  // the waiter holds it now
+
+  // And times out (returning 0) when nothing is ever released.
+  EXPECT_EQ(budget.tryAcquireFor(1, std::chrono::milliseconds(20)), 0u);
+}
+
 }  // namespace
 }  // namespace mcmcpar::par

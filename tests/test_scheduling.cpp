@@ -20,11 +20,11 @@
 #include <vector>
 
 #include "core/runtime_predictor.hpp"
-#include "engine/batch.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
 #include "img/synth.hpp"
 #include "serve/fair_queue.hpp"
+#include "serve/job_line.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
@@ -872,19 +872,19 @@ TEST(AdaptiveSharded, RejectsBadSchedulingOptionsAtCreation) {
 // ---------------------------------------------------------------------------
 
 TEST(ClientDirective, ParsesNameAndOptionalWeight) {
-  const engine::ManifestEntry plain =
-      engine::parseManifestLine("synth serial @client=alice");
+  const serve::JobSpec plain =
+      serve::parseManifestLine("synth serial @client=alice");
   EXPECT_EQ(plain.client, "alice");
   EXPECT_FALSE(plain.clientWeight.has_value());
 
-  const engine::ManifestEntry weighted =
-      engine::parseManifestLine("synth serial @client=batch-42.night*3");
+  const serve::JobSpec weighted =
+      serve::parseManifestLine("synth serial @client=batch-42.night*3");
   EXPECT_EQ(weighted.client, "batch-42.night");
   ASSERT_TRUE(weighted.clientWeight.has_value());
   EXPECT_EQ(*weighted.clientWeight, 3u);
 
-  const engine::ManifestEntry none =
-      engine::parseManifestLine("synth serial");
+  const serve::JobSpec none =
+      serve::parseManifestLine("synth serial");
   EXPECT_TRUE(none.client.empty());
   EXPECT_FALSE(none.clientWeight.has_value());
 }
@@ -897,12 +897,12 @@ TEST(ClientDirective, RejectsBadNamesAndWeights) {
         std::string("@client=a*big"), std::string("@client=a*2*3"),
         "@client=" + std::string(65, 'x')}) {
     EXPECT_THROW(
-        (void)engine::parseManifestLine("synth serial " + bad),
+        (void)serve::parseManifestLine("synth serial " + bad),
         engine::EngineError)
         << bad;
   }
   // 64 chars is the inclusive limit.
-  EXPECT_NO_THROW((void)engine::parseManifestLine(
+  EXPECT_NO_THROW((void)serve::parseManifestLine(
       "synth serial @client=" + std::string(64, 'x')));
 }
 
@@ -911,10 +911,10 @@ TEST(ItersDirective, RejectsZeroAndAbsurdBudgetsAtParseTime) {
   // worker for centuries. Both reject at admission with the bounds named.
   for (const std::string& bad :
        {std::string("0"),
-        std::to_string(engine::kMaxJobIterations + 1),
+        std::to_string(serve::kMaxJobIterations + 1),
         std::string("99999999999999999999")}) {
     try {
-      (void)engine::parseManifestLine("synth serial @iters=" + bad);
+      (void)serve::parseManifestLine("synth serial @iters=" + bad);
       FAIL() << "@iters=" << bad << " accepted";
     } catch (const engine::EngineError& e) {
       EXPECT_NE(std::string(e.what()).find("@iters"), std::string::npos)
@@ -922,13 +922,13 @@ TEST(ItersDirective, RejectsZeroAndAbsurdBudgetsAtParseTime) {
     }
   }
   // Both ends of the legal range parse.
-  EXPECT_EQ(*engine::parseManifestLine("synth serial @iters=1").iterations,
+  EXPECT_EQ(*serve::parseManifestLine("synth serial @iters=1").iterations,
             1u);
-  EXPECT_EQ(*engine::parseManifestLine(
+  EXPECT_EQ(*serve::parseManifestLine(
                  "synth serial @iters=" +
-                 std::to_string(engine::kMaxJobIterations))
+                 std::to_string(serve::kMaxJobIterations))
                  .iterations,
-            engine::kMaxJobIterations);
+            serve::kMaxJobIterations);
 }
 
 TEST(ItersDirective, BatchManifestDiagnosticsCarryLineNumbers) {
@@ -936,7 +936,7 @@ TEST(ItersDirective, BatchManifestDiagnosticsCarryLineNumbers) {
       "synth serial @iters=100\n"
       "synth serial @iters=0\n");
   try {
-    (void)engine::parseBatchManifest(manifest);
+    (void)serve::parseBatchManifest(manifest);
     FAIL() << "zero @iters accepted through the batch path";
   } catch (const engine::EngineError& e) {
     const std::string what = e.what();

@@ -7,19 +7,23 @@
 #include <cctype>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "engine/options.hpp"
+#include "engine/registry.hpp"
 #include "img/pnm_io.hpp"
 #include "img/synth.hpp"
 #include "serve/image_cache.hpp"
+#include "serve/job_line.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
@@ -539,6 +543,215 @@ TEST(Server, ConcurrentSubmittersStress) {
   EXPECT_GT(eventCount.load(), 0u);
 }
 
+TEST(Server, SingleJobMatchesDirectStrategyRun) {
+  // A served job runs its strategy exactly as the engine façade does: the
+  // same synth image, prior and seed give the same chain.
+  const ServerOptions options = tinyServer(1);
+  Server server(options);
+  const std::uint64_t id =
+      server.submitLine("synth serial @seed=21 @iters=2000");
+  ASSERT_TRUE(waitFor([&] {
+    const auto status = server.status(id);
+    return status && isTerminal(status->state);
+  }));
+  const auto served = server.result(id);
+  ASSERT_TRUE(served);
+
+  const img::Scene scene = img::generateScene(
+      img::cellScene(options.synthWidth, options.synthHeight,
+                     options.synthCells, options.radius, options.seed));
+  engine::Problem problem;
+  problem.filtered = &scene.image;
+  problem.prior.radiusMean = 8.0;
+  problem.prior.radiusStd = 1.0;
+  problem.prior.radiusMin = 4.0;
+  problem.prior.radiusMax = 8.0 * 1.8;
+  const engine::Engine engine(engine::ExecResources{1, false, 21});
+  const engine::RunReport direct =
+      engine.run("serial", problem, engine::RunBudget{2000, 0});
+
+  EXPECT_EQ(served->iterations, direct.iterations);
+  EXPECT_EQ(served->circles.size(), direct.circles.size());
+  EXPECT_DOUBLE_EQ(served->logPosterior, direct.logPosterior);
+}
+
+TEST(Server, EveryStrategyServedConcurrentlyIsCleanAndComplete) {
+  // Two jobs of every registered strategy in flight at once on one shared
+  // 4-thread budget, so a new strategy gets concurrency coverage for free.
+  // Run under -DMCMCPAR_SANITIZE=thread in CI to prove race-freedom.
+  Server server(tinyServer(4));
+  const std::vector<std::string> names =
+      engine::StrategyRegistry::builtin().names();
+  ASSERT_GE(names.size(), 7u);
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < 2 * names.size(); ++i) {
+    const std::string& name = names[i % names.size()];
+    ids.push_back(server.submitLine(
+        "synth " + name + " @iters=500" +
+        (name == "speculative" ? " lanes=3" : "")));
+  }
+  ASSERT_TRUE(waitFor(
+      [&] { return server.stats().jobs.done == ids.size(); }, 60s));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto report = server.result(ids[i]);
+    ASSERT_TRUE(report) << i;
+    EXPECT_EQ(report->strategy, names[i % names.size()]) << i;
+    EXPECT_FALSE(report->cancelled) << report->strategy;
+    EXPECT_GT(report->iterations, 0u) << report->strategy;
+    EXPECT_TRUE(std::isfinite(report->logPosterior)) << report->strategy;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Job-line and manifest parsing
+// ---------------------------------------------------------------------------
+
+TEST(BatchManifest, ParsesJobsSkippingBlanksAndComments) {
+  std::istringstream in(
+      "# header comment\n"
+      "\n"
+      "cells.pgm serial\n"
+      "  synth mc3 chains=2 swap-interval=50\n"
+      "other.pgm blind grid-x=2\n");
+  const std::vector<JobSpec> entries = parseBatchManifest(in);
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].image, "cells.pgm");
+  EXPECT_EQ(entries[0].strategy, "serial");
+  EXPECT_TRUE(entries[0].options.empty());
+  EXPECT_EQ(entries[1].image, "synth");
+  EXPECT_EQ(entries[1].options,
+            (std::vector<std::string>{"chains=2", "swap-interval=50"}));
+  EXPECT_EQ(entries[2].strategy, "blind");
+}
+
+TEST(BatchManifest, ParsesJobDirectivesSeparatelyFromStrategyOptions) {
+  const JobSpec entry = parseManifestLine(
+      "cells.pgm mc3 @iters=9000 chains=2 @seed=7 @trace=100 @label=probe");
+  EXPECT_EQ(entry.image, "cells.pgm");
+  EXPECT_EQ(entry.strategy, "mc3");
+  EXPECT_EQ(entry.options, (std::vector<std::string>{"chains=2"}));
+  EXPECT_EQ(entry.iterations, std::uint64_t{9000});
+  EXPECT_EQ(entry.seed, std::uint64_t{7});
+  EXPECT_EQ(entry.trace, std::uint64_t{100});
+  EXPECT_EQ(entry.label, "probe");
+}
+
+TEST(BatchManifest, ParsesDataPlaneAndPriorDirectives) {
+  const JobSpec entry = parseManifestLine(
+      "tile-0x0 serial @image=inline @oneshot=1 @radius=8.5 @radius-std=1.25"
+      " @radius-min=4.5 @radius-max=14.5 @count=6.5");
+  EXPECT_TRUE(entry.inlineImage);
+  EXPECT_TRUE(entry.oneshot);
+  ASSERT_TRUE(entry.radius.has_value());
+  EXPECT_DOUBLE_EQ(*entry.radius, 8.5);
+  ASSERT_TRUE(entry.radiusStd.has_value());
+  EXPECT_DOUBLE_EQ(*entry.radiusStd, 1.25);
+  ASSERT_TRUE(entry.radiusMin.has_value());
+  EXPECT_DOUBLE_EQ(*entry.radiusMin, 4.5);
+  ASSERT_TRUE(entry.radiusMax.has_value());
+  EXPECT_DOUBLE_EQ(*entry.radiusMax, 14.5);
+  ASSERT_TRUE(entry.expectedCount.has_value());
+  EXPECT_DOUBLE_EQ(*entry.expectedCount, 6.5);
+
+  // Defaults: the whole family is absent unless spelled out.
+  const JobSpec plain = parseManifestLine("synth serial");
+  EXPECT_FALSE(plain.inlineImage);
+  EXPECT_FALSE(plain.oneshot);
+  EXPECT_FALSE(plain.radiusStd.has_value());
+  EXPECT_FALSE(plain.expectedCount.has_value());
+  EXPECT_FALSE(parseManifestLine("synth serial @oneshot=0").oneshot);
+
+  // @image accepts only "inline"; prior directives must be positive.
+  EXPECT_THROW((void)parseManifestLine("synth serial @image=file"),
+               engine::EngineError);
+  EXPECT_THROW((void)parseManifestLine("synth serial @radius-std=0"),
+               engine::EngineError);
+  EXPECT_THROW((void)parseManifestLine("synth serial @count=-2"),
+               engine::EngineError);
+}
+
+TEST(BatchManifest, UnknownDirectivesAndStrayTokensRaiseDescriptiveErrors) {
+  // Unknown @directive: named, with the valid set listed.
+  try {
+    (void)parseManifestLine("synth serial @bogus=1");
+    FAIL() << "expected EngineError";
+  } catch (const engine::EngineError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("@bogus"), std::string::npos) << message;
+    EXPECT_NE(message.find("@iters"), std::string::npos) << message;
+  }
+  // A malformed directive value reports through the same OptionMap error
+  // the --opt parser uses.
+  try {
+    (void)parseManifestLine("synth serial @iters=soon");
+    FAIL() << "expected EngineError";
+  } catch (const engine::EngineError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'@iters'"), std::string::npos) << message;
+    EXPECT_NE(message.find("unsigned integer"), std::string::npos) << message;
+  }
+  // A stray trailing token is rejected at parse time with the identical
+  // message OptionMap::parse produces for --opt (not silently ignored,
+  // not deferred to strategy creation).
+  try {
+    (void)parseManifestLine("synth serial extra");
+    FAIL() << "expected EngineError";
+  } catch (const engine::EngineError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("malformed option 'extra'"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("key=value"), std::string::npos) << message;
+  }
+  // Same for '=value' (empty key), which OptionMap rejects but a naive
+  // find('=') check would let through.
+  EXPECT_THROW((void)parseManifestLine("synth serial =5"),
+               engine::EngineError);
+  // Duplicate keys raise the --opt duplicate diagnostic at parse time too.
+  try {
+    (void)parseManifestLine("synth mc3 chains=2 chains=4");
+    FAIL() << "expected EngineError";
+  } catch (const engine::EngineError& e) {
+    EXPECT_NE(std::string(e.what()).find("given twice"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BatchManifest, DirectiveErrorsCarryTheManifestLineNumber) {
+  std::istringstream in("synth serial\nsynth serial @bogus=1\n");
+  try {
+    (void)parseBatchManifest(in);
+    FAIL() << "expected EngineError";
+  } catch (const engine::EngineError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+    EXPECT_NE(message.find("@bogus"), std::string::npos) << message;
+  }
+}
+
+TEST(BatchManifest, RejectsShortLinesAndMalformedOptionsWithLineNumbers) {
+  {
+    std::istringstream in("cells.pgm serial\njust-an-image\n");
+    try {
+      (void)parseBatchManifest(in);
+      FAIL() << "expected EngineError";
+    } catch (const engine::EngineError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    std::istringstream in("cells.pgm mc3 chains\n");
+    try {
+      (void)parseBatchManifest(in);
+      FAIL() << "expected EngineError";
+    } catch (const engine::EngineError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+      EXPECT_NE(message.find("chains"), std::string::npos) << message;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // JobQueue event log (no sockets, no workers)
 // ---------------------------------------------------------------------------
@@ -546,7 +759,7 @@ TEST(Server, ConcurrentSubmittersStress) {
 /// Submit one job and dispatch it, as a worker would.
 std::uint64_t runningJob(JobQueue& queue) {
   const std::uint64_t id =
-      queue.submit(engine::parseManifestLine("synth serial"));
+      queue.submit(parseManifestLine("synth serial"));
   EXPECT_EQ(queue.waitNext(0ms), std::optional<std::uint64_t>(id));
   return id;
 }
@@ -591,7 +804,7 @@ TEST(JobQueue, TerminalStatusImpliesTheLogEndsWithThatEvent) {
 TEST(JobQueue, CancellingAQueuedJobAppendsCancelled) {
   JobQueue queue;
   const std::uint64_t id =
-      queue.submit(engine::parseManifestLine("synth serial"));
+      queue.submit(parseManifestLine("synth serial"));
   EXPECT_EQ(queue.cancel(id), CancelOutcome::QueuedCancelled);
   const auto log = queue.events(id, 0, 0ms);
   ASSERT_TRUE(log);
@@ -651,11 +864,11 @@ TEST(JobQueue, FrameLogKeepsTheNewest4096Events) {
 TEST(JobQueue, PrunedIdReturnsNullopt) {
   JobQueue queue(/*retainLimit=*/1);
   const std::uint64_t first =
-      queue.submit(engine::parseManifestLine("synth serial"));
+      queue.submit(parseManifestLine("synth serial"));
   (void)queue.cancel(first);
   ASSERT_TRUE(queue.events(first, 0, 0ms));
   const std::uint64_t second =
-      queue.submit(engine::parseManifestLine("synth serial"));
+      queue.submit(parseManifestLine("synth serial"));
   (void)queue.cancel(second);  // retention 1: forgets `first`
   EXPECT_FALSE(queue.status(first));
   EXPECT_FALSE(queue.events(first, 0, 0ms));

@@ -18,9 +18,10 @@
 #include <thread>
 #include <vector>
 
-#include "engine/batch.hpp"
 #include "engine/registry.hpp"
 #include "img/synth.hpp"
+#include "par/concurrency.hpp"
+#include "serve/job_line.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
@@ -28,6 +29,7 @@
 #include "shard/remote.hpp"
 #include "shard/report.hpp"
 #include "shard/stitcher.hpp"
+#include "shard/strategy.hpp"
 #include "shard/tiling.hpp"
 
 namespace mcmcpar {
@@ -343,7 +345,7 @@ TEST(RemoteFailure, ClassifiesTransportBusyAndFatal) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardDirective, DesugarsIntoTheShardedStrategy) {
-  const engine::ManifestEntry entry = engine::parseManifestLine(
+  const serve::JobSpec entry = serve::parseManifestLine(
       "synth mc3 chains=2 @shard=3x1 @halo=4 @iters=500 @label=demo");
   EXPECT_EQ(entry.strategy, "sharded");
   EXPECT_EQ(entry.label, "demo");
@@ -356,30 +358,30 @@ TEST(ShardDirective, DesugarsIntoTheShardedStrategy) {
 }
 
 TEST(ShardDirective, HaloRequiresShardAndShardRejectsSharded) {
-  EXPECT_THROW((void)engine::parseManifestLine("synth serial @halo=4"),
+  EXPECT_THROW((void)serve::parseManifestLine("synth serial @halo=4"),
                engine::EngineError);
-  EXPECT_THROW((void)engine::parseManifestLine("synth sharded @shard=2x2"),
+  EXPECT_THROW((void)serve::parseManifestLine("synth sharded @shard=2x2"),
                engine::EngineError);
-  EXPECT_THROW((void)engine::parseManifestLine("synth serial @shard=2y2"),
+  EXPECT_THROW((void)serve::parseManifestLine("synth serial @shard=2y2"),
                engine::EngineError);
   // Over-range tile counts are an EngineError like any other bad grammar —
   // front-ends reply BAD_JOB instead of dying on std::out_of_range.
   EXPECT_THROW(
-      (void)engine::parseManifestLine("synth serial @shard=99999999999x2"),
+      (void)serve::parseManifestLine("synth serial @shard=99999999999x2"),
       engine::EngineError);
 }
 
 TEST(RadiusDirective, OverridesThePriorPerJob) {
-  const engine::ManifestEntry entry =
-      engine::parseManifestLine("synth serial @radius=12.5");
+  const serve::JobSpec entry =
+      serve::parseManifestLine("synth serial @radius=12.5");
   ASSERT_TRUE(entry.radius.has_value());
   EXPECT_DOUBLE_EQ(*entry.radius, 12.5);
-  EXPECT_FALSE(engine::parseManifestLine("synth serial").radius.has_value());
-  EXPECT_THROW((void)engine::parseManifestLine("synth serial @radius=0"),
+  EXPECT_FALSE(serve::parseManifestLine("synth serial").radius.has_value());
+  EXPECT_THROW((void)serve::parseManifestLine("synth serial @radius=0"),
                engine::EngineError);
-  EXPECT_THROW((void)engine::parseManifestLine("synth serial @radius=-3"),
+  EXPECT_THROW((void)serve::parseManifestLine("synth serial @radius=-3"),
                engine::EngineError);
-  EXPECT_THROW((void)engine::parseManifestLine("synth serial @radius=big"),
+  EXPECT_THROW((void)serve::parseManifestLine("synth serial @radius=big"),
                engine::EngineError);
 }
 
@@ -514,6 +516,187 @@ TEST(ShardedStrategy, CancellationBeforeStartYieldsCancelledReport) {
                  hooks, {"tiles=2x2"});
   EXPECT_TRUE(report.cancelled);
   EXPECT_EQ(report.iterations, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The local backend's thread budget, cancellation and error capture,
+// observed through a probe tile strategy in a private registry.
+// ---------------------------------------------------------------------------
+
+/// What the probe tiles of one sharded run saw.
+struct ProbeLog {
+  std::atomic<int> inFlight{0};
+  std::atomic<int> peakInFlight{0};
+  std::atomic<unsigned> maxLeased{0};  ///< most threads one tile leased
+  std::atomic<int> runs{0};
+  std::uint64_t failSeed = 0;  ///< the tile seeded with this throws
+};
+
+/// Raise `peak` to `value` if it is larger.
+template <typename T>
+void raiseTo(std::atomic<T>& peak, T value) {
+  T seen = peak.load();
+  while (value > seen && !peak.compare_exchange_weak(seen, value)) {
+  }
+}
+
+/// A tile strategy that sleeps instead of sampling and records how the
+/// local backend ran it.
+class ProbeStrategy final : public engine::Strategy {
+ public:
+  ProbeStrategy(const engine::ExecResources& resources, ProbeLog& log)
+      : resources_(resources), log_(log) {}
+
+  [[nodiscard]] const std::string& name() const noexcept override {
+    return name_;
+  }
+  void prepare(const engine::Problem&) override {}
+
+  [[nodiscard]] engine::RunReport run(const engine::RunBudget& budget,
+                                      const engine::RunHooks&) override {
+    const par::PoolLease lease =
+        par::PoolLease::acquire(resources_.poolBudget, resources_.threads);
+    raiseTo(log_.maxLeased, lease.threads());
+    raiseTo(log_.peakInFlight, ++log_.inFlight);
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    --log_.inFlight;
+    ++log_.runs;
+    if (resources_.seed == log_.failSeed) {
+      throw engine::EngineError("probe tile failed");
+    }
+    engine::RunReport report;
+    report.strategy = name_;
+    report.iterations = budget.iterations;
+    return report;
+  }
+
+ private:
+  std::string name_ = "probe";
+  engine::ExecResources resources_;
+  ProbeLog& log_;
+};
+
+/// "sharded" over probe tiles on shardScene(), each tile budgeted 1000.
+struct ProbeShard {
+  ProbeLog log;
+  engine::StrategyRegistry registry;
+  img::Scene scene = shardScene();
+
+  ProbeShard() {
+    registry.add({"probe", "-", "test tile strategy", "-", "",
+                  [this](const engine::ExecResources& resources,
+                         const engine::OptionMap& options) {
+                    options.requireConsumed("probe");
+                    return std::make_unique<ProbeStrategy>(resources, log);
+                  }});
+    shard::registerShardedStrategy(registry);
+  }
+
+  engine::RunReport run(const engine::ExecResources& resources,
+                        const std::string& tiles,
+                        const engine::RunHooks& hooks = {}) {
+    const std::unique_ptr<engine::Strategy> sharded = registry.create(
+        "sharded", resources,
+        {"backend=local", "tiles=" + tiles, "strategy=probe",
+         "tile-iters=1000"});
+    sharded->prepare(shardProblem(scene));
+    return sharded->run(engine::RunBudget{4000, 0}, hooks);
+  }
+};
+
+TEST(ShardedLocalBackend, ServedJobRunsItsTilesOnEveryBudgetedThread) {
+  // A served job runs on a server worker that already holds its own thread
+  // in the server's budget. On a 2-thread budget its tiles must still run
+  // two at a time: that thread is not charged a second time.
+  ProbeShard probe;
+  par::PoolBudget budget(2);
+  ASSERT_EQ(budget.tryAcquire(1), 1u);  // the worker's own thread
+  engine::ExecResources resources;
+  resources.threads = 2;
+  resources.poolBudget = &budget;
+  const engine::RunReport report = probe.run(resources, "2x2");
+  EXPECT_FALSE(report.cancelled);
+  EXPECT_EQ(probe.log.runs.load(), 4);
+  EXPECT_EQ(probe.log.peakInFlight.load(), 2);
+  EXPECT_EQ(budget.available(), 1u);  // the tiles' thread came back
+}
+
+TEST(ShardedLocalBackend, FullyLoadedBudgetLeavesEachTileOneThread) {
+  // 2 threads, 4 tiles: both threads run tiles, so no tile strategy can
+  // lease an internal worker.
+  ProbeShard probe;
+  const engine::RunReport report =
+      probe.run(engine::ExecResources{2, false, 1}, "2x2");
+  EXPECT_FALSE(report.cancelled);
+  EXPECT_EQ(probe.log.peakInFlight.load(), 2);
+  EXPECT_EQ(probe.log.maxLeased.load(), 1u);
+}
+
+TEST(ShardedLocalBackend, SpareBudgetFlowsToTheTileStrategy) {
+  // 4 threads, one tile: the tile strategy leases the 3 spare threads.
+  ProbeShard probe;
+  (void)probe.run(engine::ExecResources{4, false, 1}, "1x1");
+  EXPECT_EQ(probe.log.runs.load(), 1);
+  EXPECT_EQ(probe.log.maxLeased.load(), 4u);
+}
+
+TEST(ShardedLocalBackend, SharedBudgetIsRestoredAfterEveryRun) {
+  ProbeShard probe;
+  par::PoolBudget budget(3);
+  ASSERT_EQ(budget.tryAcquire(1), 1u);  // the caller's own thread
+  engine::ExecResources resources;
+  resources.threads = 3;
+  resources.poolBudget = &budget;
+  for (int round = 1; round <= 3; ++round) {
+    const engine::RunReport report = probe.run(resources, "2x2");
+    EXPECT_FALSE(report.cancelled) << round;
+    EXPECT_EQ(probe.log.runs.load(), 4 * round);
+    EXPECT_EQ(budget.available(), 2u) << round;
+  }
+}
+
+TEST(ShardedLocalBackend, TileFailureIsCapturedAndFailsTheRun) {
+  // One tile throws: its siblings still run, and the shard run fails
+  // naming the failed tile instead of merging a model with a hole in it.
+  ProbeShard probe;
+  probe.log.failSeed = engine::deriveJobSeed(9, 1);
+  try {
+    (void)probe.run(engine::ExecResources{2, false, 9}, "2x2");
+    FAIL() << "expected EngineError";
+  } catch (const engine::EngineError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("1 tile job(s) failed"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("probe tile failed"), std::string::npos)
+        << message;
+  }
+  EXPECT_EQ(probe.log.runs.load(), 4);
+}
+
+TEST(ShardedLocalBackend, CancelMidRunSkipsTilesNotYetStarted) {
+  // One thread runs the tiles in order; the cancel lands once two tiles
+  // have reported done, so tiles 0-1 keep full results and 2-3 never start.
+  ProbeShard probe;
+  std::atomic<int> tilesDone{0};
+  engine::RunHooks hooks;
+  hooks.onProgress = [&tilesDone](const engine::RunProgress&) {
+    ++tilesDone;
+  };
+  hooks.cancelRequested = [&tilesDone] { return tilesDone.load() >= 2; };
+  const engine::RunReport report =
+      probe.run(engine::ExecResources{1, false, 1}, "2x2", hooks);
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_EQ(probe.log.runs.load(), 2);
+  const auto& extras = std::get<shard::ShardReport>(report.extras);
+  ASSERT_EQ(extras.tiles.size(), 4u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_FALSE(extras.tiles[i].cancelled) << i;
+    EXPECT_EQ(extras.tiles[i].iterations, 1000u) << i;
+  }
+  for (std::size_t i = 2; i < 4; ++i) {
+    EXPECT_TRUE(extras.tiles[i].cancelled) << i;
+    EXPECT_EQ(extras.tiles[i].iterations, 0u) << i;
+  }
 }
 
 TEST(ShardedStrategy, SocketBackendRoundTripsThroughALiveServer) {

@@ -19,9 +19,9 @@
 
 #include "analysis/matching.hpp"
 #include "analysis/metrics.hpp"
-#include "engine/batch.hpp"
 #include "engine/registry.hpp"
 #include "img/synth.hpp"
+#include "serve/job_line.hpp"
 #include "stream/sequence.hpp"
 #include "stream/tracker.hpp"
 
@@ -239,7 +239,7 @@ TEST(FrameHelpers, GlobExpandsSortedAndPassesPlainPathsThrough) {
 // ---------------------------------------------------------------------------
 
 TEST(Manifest, SequenceDirectivesParse) {
-  const engine::ManifestEntry entry = engine::parseManifestLine(
+  const serve::JobSpec entry = serve::parseManifestLine(
       "synth serial @sequence=8 @warm-start=1 @track=0 @iters=500");
   EXPECT_EQ(entry.sequence, "8");
   ASSERT_TRUE(entry.warmStart.has_value());
@@ -247,8 +247,8 @@ TEST(Manifest, SequenceDirectivesParse) {
   ASSERT_TRUE(entry.track.has_value());
   EXPECT_FALSE(*entry.track);
 
-  const engine::ManifestEntry glob =
-      engine::parseManifestLine("frames/*.pgm serial @sequence=frames/*.pgm");
+  const serve::JobSpec glob =
+      serve::parseManifestLine("frames/*.pgm serial @sequence=frames/*.pgm");
   EXPECT_EQ(glob.sequence, "frames/*.pgm");
   EXPECT_FALSE(glob.warmStart.has_value());
   EXPECT_FALSE(glob.track.has_value());
@@ -256,16 +256,16 @@ TEST(Manifest, SequenceDirectivesParse) {
 
 TEST(Manifest, SequenceDirectiveValidation) {
   // @warm-start / @track are sequence modifiers, not standalone knobs.
-  EXPECT_THROW((void)engine::parseManifestLine("synth serial @warm-start=1"),
+  EXPECT_THROW((void)serve::parseManifestLine("synth serial @warm-start=1"),
                engine::EngineError);
-  EXPECT_THROW((void)engine::parseManifestLine("synth serial @track=0"),
+  EXPECT_THROW((void)serve::parseManifestLine("synth serial @track=0"),
                engine::EngineError);
   // A sequence cannot also be sharded.
   EXPECT_THROW(
-      (void)engine::parseManifestLine("synth serial @sequence=4 @shard=2x2"),
+      (void)serve::parseManifestLine("synth serial @sequence=4 @shard=2x2"),
       engine::EngineError);
   // An empty value is malformed.
-  EXPECT_THROW((void)engine::parseManifestLine("synth serial @sequence="),
+  EXPECT_THROW((void)serve::parseManifestLine("synth serial @sequence="),
                engine::EngineError);
 }
 
@@ -466,7 +466,6 @@ TEST(SequenceRunner, WarmStartReachesTheBandInHalfTheColdIterations) {
       iterationsToBand(problem, truth, resources);
 
   problem.warmStart = frame0.circles;
-  problem.warmFreshFraction = 0.25;
   const std::uint64_t warmIters =
       iterationsToBand(problem, truth, resources);
 

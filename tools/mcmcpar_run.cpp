@@ -1,7 +1,8 @@
 // mcmcpar_run — the uniform CLI front-end of the engine façade: execute any
 // registered strategy (or all of them) on a synthetic scene or a PGM image
-// and print one comparable RunReport row per strategy. No strategy-specific
-// setup code lives here; everything flows through the string-keyed registry.
+// and print one comparable RunReport row per strategy. Every mode is one or
+// more job lines (docs/PROTOCOL.md) served by an in-process serve::Server
+// built from the flags, so a job runs here exactly as a SUBMIT runs it.
 //
 //   mcmcpar_run --list
 //   mcmcpar_run --strategy serial --iterations 20000
@@ -11,24 +12,18 @@
 //   mcmcpar_run --batch jobs.txt --threads 8 --iterations 10000
 //   mcmcpar_run --shard 2x2 --strategy serial --image big.pgm --opt halo=16
 
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include <chrono>
-#include <fstream>
-
 #include "analysis/metrics.hpp"
 #include "analysis/table_writer.hpp"
-#include "engine/batch.hpp"
 #include "engine/registry.hpp"
-#include "img/pnm_io.hpp"
-#include "img/synth.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
 #include "stream/sequence.hpp"
@@ -52,7 +47,6 @@ struct CliOptions {
   std::string sequence;   // --sequence N|GLOB: streaming frame-sequence run
   bool noWarmStart = false;    // --no-warm-start: cold-start every frame
   bool noTrack = false;        // --no-track: skip the cross-frame tracker
-  double freshFraction = 0.25; // --fresh-fraction: births on warm frames
   unsigned maxJobs = 0;   // --jobs: concurrent-job cap (0 = thread budget)
   double deadline = 0.0;  // --deadline: whole-batch wall limit in seconds
   std::string traceOut;   // --trace-out: Chrome trace JSON destination
@@ -87,8 +81,6 @@ void printUsage() {
       "                      frame K-1 and objects are tracked across frames\n"
       "  --no-warm-start     sequence: cold-start every frame\n"
       "  --no-track          sequence: skip the cross-frame tracker\n"
-      "  --fresh-fraction X  sequence: fresh births on warm frames as a\n"
-      "                      fraction of the expected count (default 0.25)\n"
       "  --progress          print progress beats from RunHooks\n"
       "  --batch FILE        serve a job manifest through an in-process\n"
       "                      server; each line is a SUBMIT job line\n"
@@ -99,7 +91,10 @@ void printUsage() {
       "  --trace-out FILE    write a Chrome trace-event JSON timeline of the\n"
       "                      run (open in chrome://tracing or Perfetto);\n"
       "                      sharded runs show fan-out, per-tile flights,\n"
-      "                      hedges and the stitch as nested spans\n");
+      "                      hedges and the stitch as nested spans\n"
+      "exit status: 0 when no job failed (a job --deadline cancels is not a\n"
+      "failure), 1 when a job failed while running, 2 on a usage error or a\n"
+      "job the server rejects at admission\n");
 }
 
 /// Flag values go through engine::flagU64/flagDouble (the whole token
@@ -176,9 +171,6 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       cli.noWarmStart = true;
     } else if (std::strcmp(arg, "--no-track") == 0) {
       cli.noTrack = true;
-    } else if (std::strcmp(arg, "--fresh-fraction") == 0) {
-      if ((v = value(i)) == nullptr) return std::nullopt;
-      cli.freshFraction = engine::flagDouble(arg, v);
     } else if (std::strcmp(arg, "--jobs") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.maxJobs = static_cast<unsigned>(intFlag(arg, v));
@@ -324,238 +316,249 @@ class TraceOutput {
   std::string path_;
 };
 
-/// The circle prior every run shares, sized from the CLI radius knob.
-engine::Problem makeProblem(const img::ImageF& image, const CliOptions& cli) {
-  engine::Problem problem;
-  problem.filtered = &image;
-  problem.prior.radiusMean = cli.radius;
-  problem.prior.radiusStd = cli.radius / 8.0;
-  problem.prior.radiusMin = cli.radius / 2.0;
-  problem.prior.radiusMax = cli.radius * 1.8;
-  return problem;
+/// The job line(s) of a mode other than --batch. A single run is one line
+/// seeded with --seed; --strategy all is one line per registry name;
+/// --shard makes the line a "sharded" coordinator over --strategy; and
+/// --sequence makes it a @sequence job.
+std::vector<serve::JobSpec> cliJobs(const CliOptions& cli,
+                                    const engine::StrategyRegistry& registry) {
+  serve::JobSpec base;
+  base.image = cli.imagePath.empty() ? "synth" : cli.imagePath;
+  base.strategy = cli.strategy;
+  base.options = cli.strategyOptions;
+  base.seed = cli.resources.seed;
+  if (!cli.sequence.empty()) {
+    // A frame count names the server's drifting synth scene; a glob's
+    // image token is only the job's display label.
+    if (!stream::parseFrameCount(cli.sequence)) base.image = cli.sequence;
+    base.sequence = cli.sequence;
+    if (cli.noWarmStart) base.warmStart = false;
+    if (cli.noTrack) base.track = false;
+  }
+  if (!cli.shardTiles.empty()) {
+    // Not @shard=: that would forward the shard's own knobs (halo=...) as
+    // inner.<key> options of the per-tile strategy.
+    base.strategy = "sharded";
+    base.options = {"tiles=" + cli.shardTiles};
+    if (cli.strategy != "sharded") {
+      base.options.push_back("strategy=" + cli.strategy);
+    }
+    base.options.insert(base.options.end(), cli.strategyOptions.begin(),
+                        cli.strategyOptions.end());
+  }
+  if (cli.strategy != "all") return {base};
+  std::vector<serve::JobSpec> jobs;
+  for (const std::string& name : registry.names()) {
+    jobs.push_back(base);
+    jobs.back().strategy = name;
+  }
+  return jobs;
 }
 
-/// Block until job `id` is terminal and return its final report (nullopt
-/// only for an id the server does not know).
-std::optional<engine::RunReport> awaitResult(const serve::Server& server,
-                                             std::uint64_t id) {
+/// What one served job ended as.
+struct Outcome {
+  serve::JobStatus status;
+  engine::RunReport report;
+};
+
+/// Block until job `id` (the `index`-th) is terminal; with --progress,
+/// echo its progress and frame events to stderr as they arrive.
+Outcome awaitJob(const serve::Server& server, std::uint64_t id,
+                 std::size_t index, bool progress) {
   std::uint64_t seq = 0;
-  for (;;) {
-    if (std::optional<engine::RunReport> report = server.result(id)) {
-      return report;
-    }
+  for (bool terminal = false; !terminal;) {
     const auto events = server.events(id, seq, std::chrono::seconds(1));
-    if (!events) return std::nullopt;
-    if (!events->empty()) seq = events->back().seq;
+    if (!events) break;  // not a job of this server
+    for (const serve::JobEvent& event : *events) {
+      seq = event.seq;
+      terminal = terminal || serve::terminalState(event.type).has_value();
+      if (!progress) continue;
+      if (event.type == serve::JobEvent::Type::Progress && event.total > 0) {
+        std::fprintf(stderr, "  job %zu ... %llu%%\n", index,
+                     static_cast<unsigned long long>(100 * event.done /
+                                                     event.total));
+      } else if (event.type == serve::JobEvent::Type::Frame) {
+        std::fprintf(stderr, "  job %zu ... frame %llu/%llu\n", index,
+                     static_cast<unsigned long long>(event.done + 1),
+                     static_cast<unsigned long long>(event.total));
+      }
+    }
   }
+  Outcome outcome{server.status(id).value_or(serve::JobStatus{}),
+                  server.result(id).value_or(engine::RunReport{})};
+  if (progress) {
+    std::fprintf(stderr, "  job %zu (%s) %s\n", index,
+                 outcome.status.strategy.c_str(),
+                 serve::toString(outcome.status.state));
+  }
+  return outcome;
 }
 
-/// --batch: parse the manifest and serve it through an in-process
-/// serve::Server, so each job line is admitted exactly as SUBMIT admits it
-/// (docs/PROTOCOL.md), then print the per-job table from the server's
-/// results.
-int runBatch(const CliOptions& cli) {
-  std::ifstream manifest(cli.batchPath);
-  if (!manifest) {
-    std::fprintf(stderr, "cannot open manifest %s\n", cli.batchPath.c_str());
-    return 2;
-  }
-  std::vector<engine::ManifestEntry> entries;
-  try {
-    entries = engine::parseBatchManifest(manifest);
-  } catch (const engine::EngineError& e) {
-    std::fprintf(stderr, "%s: %s\n", cli.batchPath.c_str(), e.what());
-    return 2;
-  }
-
-  serve::ServerOptions options;
-  options.threads = cli.resources.threads;
-  options.maxConcurrentJobs = cli.maxJobs;
-  options.defaultBudget = cli.budget;
-  options.seed = cli.resources.seed;
-  options.useOpenMp = cli.resources.useOpenMp;
-  options.radius = cli.radius;
-  options.synthWidth = cli.width;
-  options.synthHeight = cli.height;
-  options.synthCells = cli.cells;
-  options.retainJobs = entries.size();  // no result is pruned before it prints
-  serve::Server server(options);
-
-  const auto started = std::chrono::steady_clock::now();
+/// Serve `jobs` in order through `server`. A batch admits every line up
+/// front, and --deadline then bounds the drain; every other mode admits a
+/// job only after the previous one ended, so their times stay comparable.
+/// nullopt when the server rejects a line (reported on stderr; the jobs
+/// already admitted are cancelled).
+std::optional<std::vector<Outcome>> serveJobs(
+    serve::Server& server, const std::vector<serve::JobSpec>& jobs,
+    const CliOptions& cli) {
+  const bool batch = !cli.batchPath.empty();
   std::vector<std::uint64_t> ids;
-  ids.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    engine::ManifestEntry entry = entries[i];
-    // Seeded by manifest position, not by server job id, so a job's answer
-    // does not depend on how its line is submitted.
-    if (!entry.seed) entry.seed = engine::deriveJobSeed(cli.resources.seed, i);
+  const auto admit = [&](std::size_t i) {
     try {
-      ids.push_back(server.submit(entry));
+      ids.push_back(server.submit(jobs[i]));
+      return true;
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: job %zu (%s): %s\n", cli.batchPath.c_str(), i,
-                   entry.image.c_str(), e.what());
-      server.shutdown(0.0);  // jobs already admitted are cancelled
-      return 2;
+      std::fprintf(stderr, "%s: job %zu (%s): %s\n",
+                   batch ? cli.batchPath.c_str() : "mcmcpar_run", i,
+                   jobs[i].image.c_str(), e.what());
+      server.shutdown(0.0);
+      return false;
     }
+  };
+  if (batch) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (!admit(i)) return std::nullopt;
+    }
+    if (cli.deadline > 0.0) server.shutdown(cli.deadline);
   }
-  // --deadline X: drain for X seconds, then cancel whatever is left.
-  if (cli.deadline > 0.0) server.shutdown(cli.deadline);
+  std::vector<Outcome> outcomes;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (!batch && !admit(i)) return std::nullopt;
+    outcomes.push_back(awaitJob(server, ids[i], i, cli.progress));
+  }
+  server.shutdown(0.0);
+  return outcomes;
+}
 
-  analysis::Table table(
-      {"#", "image", "strategy", "status", "seconds", "iters", "circles",
-       "logP"});
-  std::vector<engine::RunReport> reports;
+/// --batch: one row per manifest line, whatever its status.
+void printBatch(const std::vector<Outcome>& outcomes, double seconds) {
+  analysis::Table table({"#", "image", "strategy", "status", "seconds",
+                         "iters", "circles", "logP"});
   std::size_t ok = 0;
   std::size_t cancelled = 0;
-  std::vector<std::string> errors(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    engine::RunReport report =
-        awaitResult(server, ids[i]).value_or(engine::RunReport{});
-    const serve::JobStatus status = server.status(ids[i]).value_or(
-        serve::JobStatus{});
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const serve::JobStatus& status = outcomes[i].status;
+    const engine::RunReport& report = outcomes[i].report;
     const char* state = "ok";
     if (status.state == serve::JobState::Failed) {
       state = "failed";
-      errors[i] = status.error;
     } else if (status.state == serve::JobState::Cancelled) {
       state = "cancelled";
       ++cancelled;
     } else {
       ++ok;
     }
-    if (cli.progress) {
-      std::fprintf(stderr, "  job %zu (%s) %s\n", i, status.strategy.c_str(),
-                   state);
-    }
     table.addRow(
-        {analysis::Table::integer(static_cast<long long>(i)),
-         status.label, status.strategy, state, analysis::Table::num(report.wallSeconds, 3),
+        {analysis::Table::integer(static_cast<long long>(i)), status.label,
+         status.strategy, state, analysis::Table::num(report.wallSeconds, 3),
          analysis::Table::integer(static_cast<long long>(report.iterations)),
          analysis::Table::integer(
              static_cast<long long>(report.circles.size())),
          analysis::Table::num(report.logPosterior, 1)});
-    reports.push_back(std::move(report));
   }
-  server.shutdown(0.0);
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - started)
-                             .count();
-
   table.print(std::cout);
   std::printf("\n");
-  for (const engine::RunReport& report : reports) printExtras(report);
-  const std::size_t failed = ids.size() - ok - cancelled;
-  std::printf("\nbatch: %zu jobs (%zu ok, %zu cancelled, %zu failed) in %.3f s\n",
-              ids.size(), ok, cancelled, failed, seconds);
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    if (!errors[i].empty()) {
-      std::fprintf(stderr, "job %zu failed: %s\n", i, errors[i].c_str());
-    }
-  }
-  return failed == 0 ? 0 : 1;
+  for (const Outcome& outcome : outcomes) printExtras(outcome.report);
+  std::printf(
+      "\nbatch: %zu jobs (%zu ok, %zu cancelled, %zu failed) in %.3f s\n",
+      outcomes.size(), ok, cancelled, outcomes.size() - ok - cancelled,
+      seconds);
 }
 
-/// --sequence: build the frame list (synthetic drifting scene or PGM glob),
-/// run it through stream::SequenceRunner with warm-started chains and the
-/// cross-frame tracker, and print the per-frame table plus track lifetimes.
-int runSequence(const CliOptions& cli) {
-  if (cli.strategy == "all") {
-    std::fprintf(stderr, "--sequence cannot be combined with --strategy all\n");
-    return 2;
-  }
-
-  stream::SequenceSpec spec;
-  spec.strategy = cli.strategy;
-  spec.options = cli.strategyOptions;
-  spec.budget = cli.budget;
-  spec.warmStart = !cli.noWarmStart;
-  spec.track = !cli.noTrack;
-  spec.freshFraction = cli.freshFraction;
-
-  if (const auto count = stream::parseFrameCount(cli.sequence)) {
-    constexpr std::uint64_t kMaxSynthFrames = 4096;
-    if (*count > kMaxSynthFrames) {
-      std::fprintf(stderr, "--sequence: at most %llu synthetic frames\n",
-                   static_cast<unsigned long long>(kMaxSynthFrames));
-      return 2;
-    }
-    img::DriftSpec drift;
-    drift.scene = img::cellScene(cli.width, cli.height, cli.cells, cli.radius,
-                                 cli.resources.seed);
-    drift.frames = static_cast<int>(*count);
-    std::vector<img::Scene> scenes = img::generateDriftingSequence(drift);
-    for (std::size_t k = 0; k < scenes.size(); ++k) {
-      spec.frames.push_back(
-          {std::make_shared<img::ImageF>(std::move(scenes[k].image)),
-           "synth." + std::to_string(k)});
-    }
-    std::printf("sequence: %zu synthetic drifting frames (%dx%d, %d cells)\n\n",
-                spec.frames.size(), cli.width, cli.height, cli.cells);
+/// A single run, --strategy all and --shard: one comparable row per
+/// strategy, with F1 against the synth scene's truth.
+void printRuns(const CliOptions& cli, const std::vector<Outcome>& outcomes,
+               const std::vector<model::Circle>& truth) {
+  if (truth.empty()) {
+    std::printf("image: %s\n\n", cli.imagePath.c_str());
   } else {
-    const std::vector<std::string> paths = stream::expandFrameGlob(cli.sequence);
-    if (paths.empty()) {
-      std::fprintf(stderr, "--sequence: no frames match '%s'\n",
-                   cli.sequence.c_str());
-      return 2;
+    std::printf("scene: %dx%d with %zu artifacts of radius ~%.1f\n\n",
+                cli.width, cli.height, truth.size(), cli.radius);
+  }
+  analysis::Table table({"strategy", "seconds", "iters", "accept", "circles",
+                         "logP", "converge@", truth.empty() ? "-" : "F1"});
+  for (const Outcome& outcome : outcomes) {
+    if (outcome.status.state == serve::JobState::Failed) continue;
+    const engine::RunReport& report = outcome.report;
+    std::string f1 = "-";
+    if (!truth.empty()) {
+      f1 = analysis::Table::num(
+          analysis::scoreCircles(report.circles, truth, cli.radius * 0.75).f1,
+          3);
     }
-    for (const std::string& path : paths) {
-      try {
-        spec.frames.push_back(
-            {std::make_shared<img::ImageF>(img::toF(img::readPgm(path))),
-             path});
-      } catch (const img::PnmError& e) {
-        std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(), e.what());
-        return 2;
-      }
-    }
-    std::printf("sequence: %zu frames matching %s\n\n", spec.frames.size(),
+    table.addRow(
+        {report.strategy, analysis::Table::num(report.wallSeconds, 3),
+         analysis::Table::integer(static_cast<long long>(report.iterations)),
+         analysis::Table::num(report.acceptanceRate, 3),
+         analysis::Table::integer(
+             static_cast<long long>(report.circles.size())),
+         analysis::Table::num(report.logPosterior, 1),
+         report.iterationsToConverge
+             ? analysis::Table::integer(
+                   static_cast<long long>(*report.iterationsToConverge))
+             : "-",
+         f1});
+  }
+  table.print(std::cout);
+  std::printf("\n");
+  for (const Outcome& outcome : outcomes) printExtras(outcome.report);
+}
+
+/// --sequence: the per-frame table plus track lifetimes.
+void printSequence(const CliOptions& cli, const engine::RunReport& report) {
+  const auto* seq = std::get_if<stream::StreamReport>(&report.extras);
+  if (seq == nullptr) return;  // the job failed before its first frame
+  if (stream::parseFrameCount(cli.sequence)) {
+    std::printf("sequence: %zu synthetic drifting frames (%dx%d, %d cells)\n\n",
+                seq->frameCount, cli.width, cli.height, cli.cells);
+  } else {
+    std::printf("sequence: %zu frames matching %s\n\n", seq->frameCount,
                 cli.sequence.c_str());
   }
-
-  spec.problem = makeProblem(*spec.frames.front().image, cli);
-
-  stream::SequenceHooks hooks;
-  if (cli.progress) {
-    hooks.onFrame = [](const stream::FrameResult& frame,
-                       const engine::RunReport&) {
-      std::fprintf(stderr,
-                   "  frame %zu (%s): %zu circle(s), %zu carried, logP %.1f\n",
-                   frame.index, frame.label.c_str(), frame.circles,
-                   frame.carried, frame.logPosterior);
-    };
-  }
-
-  engine::RunReport report;
-  try {
-    report = stream::SequenceRunner().run(spec, cli.resources, hooks);
-  } catch (const engine::EngineError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-
-  const auto* seq = std::get_if<stream::StreamReport>(&report.extras);
   analysis::Table table({"frame", "label", "seconds", "iters", "accept",
                          "circles", "carried", "born", "ended", "logP"});
-  if (seq != nullptr) {
-    for (const stream::FrameResult& frame : seq->perFrame) {
-      table.addRow(
-          {analysis::Table::integer(static_cast<long long>(frame.index)),
-           frame.label, analysis::Table::num(frame.wallSeconds, 3),
-           analysis::Table::integer(
-               static_cast<long long>(frame.iterations)),
-           analysis::Table::num(frame.acceptanceRate, 3),
-           analysis::Table::integer(static_cast<long long>(frame.circles)),
-           analysis::Table::integer(static_cast<long long>(frame.carried)),
-           analysis::Table::integer(static_cast<long long>(frame.tracksBorn)),
-           analysis::Table::integer(
-               static_cast<long long>(frame.tracksEnded)),
-           analysis::Table::num(frame.logPosterior, 1)});
-    }
+  for (const stream::FrameResult& frame : seq->perFrame) {
+    table.addRow(
+        {analysis::Table::integer(static_cast<long long>(frame.index)),
+         frame.label, analysis::Table::num(frame.wallSeconds, 3),
+         analysis::Table::integer(static_cast<long long>(frame.iterations)),
+         analysis::Table::num(frame.acceptanceRate, 3),
+         analysis::Table::integer(static_cast<long long>(frame.circles)),
+         analysis::Table::integer(static_cast<long long>(frame.carried)),
+         analysis::Table::integer(static_cast<long long>(frame.tracksBorn)),
+         analysis::Table::integer(static_cast<long long>(frame.tracksEnded)),
+         analysis::Table::num(frame.logPosterior, 1)});
   }
   table.print(std::cout);
   std::printf("\n");
   printExtras(report);
-  return 0;
+}
+
+/// The mode combinations that have no meaning; prints why.
+bool validModes(const CliOptions& cli) {
+  std::string error;
+  if (!cli.sequence.empty() &&
+      (!cli.batchPath.empty() || !cli.shardTiles.empty())) {
+    error = "--sequence cannot be combined with --batch or --shard";
+  } else if (!cli.batchPath.empty() && !cli.shardTiles.empty()) {
+    // Silently running the manifest unsharded would be worse than an
+    // error; shard batch jobs per line via the @shard directive instead.
+    error = "--shard cannot be combined with --batch; put '@shard=" +
+            cli.shardTiles + "' on the manifest lines to shard";
+  } else if (cli.batchPath.empty() && cli.strategy == "all") {
+    if (!cli.sequence.empty()) {
+      error = "--sequence cannot be combined with --strategy all";
+    } else if (!cli.shardTiles.empty()) {
+      error = "--shard cannot be combined with --strategy all";
+    } else if (!cli.strategyOptions.empty()) {
+      error =
+          "--opt is strategy-specific and cannot be combined with "
+          "--strategy all";
+    }
+  }
+  if (!error.empty()) std::fprintf(stderr, "%s\n", error.c_str());
+  return error.empty();
 }
 
 }  // namespace
@@ -579,136 +582,68 @@ int main(int argc, char** argv) {
     printRegistry(registry);
     return 0;
   }
-  const TraceOutput traceOutput(cli.traceOut);
-  if (!cli.sequence.empty()) {
-    if (!cli.batchPath.empty() || !cli.shardTiles.empty()) {
-      std::fprintf(stderr,
-                   "--sequence cannot be combined with --batch or --shard\n");
-      return 2;
-    }
-    return runSequence(cli);
-  }
+  if (!validModes(cli)) return 2;
+
+  std::vector<serve::JobSpec> jobs;
   if (!cli.batchPath.empty()) {
-    if (!cli.shardTiles.empty()) {
-      // Silently running the manifest unsharded would be worse than an
-      // error; shard batch jobs per line via the @shard directive instead.
-      std::fprintf(stderr,
-                   "--shard cannot be combined with --batch; put "
-                   "'@shard=%s' on the manifest lines to shard\n",
-                   cli.shardTiles.c_str());
+    std::ifstream manifest(cli.batchPath);
+    if (!manifest) {
+      std::fprintf(stderr, "cannot open manifest %s\n", cli.batchPath.c_str());
       return 2;
     }
-    return runBatch(cli);
-  }
-
-  // The problem: a PGM from disk, or a synthetic scene with known truth.
-  img::ImageF image;
-  std::vector<model::Circle> truth;
-  if (!cli.imagePath.empty()) {
     try {
-      image = img::toF(img::readPgm(cli.imagePath));
-    } catch (const img::PnmError& e) {
-      std::fprintf(stderr, "cannot read %s: %s\n", cli.imagePath.c_str(),
-                   e.what());
-      return 2;
-    }
-    std::printf("image: %s (%dx%d)\n\n", cli.imagePath.c_str(), image.width(),
-                image.height());
-  } else {
-    const img::SceneSpec spec = img::cellScene(
-        cli.width, cli.height, cli.cells, cli.radius, cli.resources.seed);
-    img::Scene scene = img::generateScene(spec);
-    image = std::move(scene.image);
-    for (const auto& t : scene.truth) truth.push_back({t.x, t.y, t.r});
-    std::printf("scene: %dx%d with %zu artifacts of radius ~%.1f\n\n",
-                cli.width, cli.height, truth.size(), cli.radius);
-  }
-
-  const engine::Problem problem = makeProblem(image, cli);
-
-  // Report progress once per decile; reset before each strategy.
-  auto lastDecile = std::make_shared<int>(-1);
-  engine::RunHooks hooks;
-  if (cli.progress) {
-    hooks.onProgress = [lastDecile](const engine::RunProgress& p) {
-      if (p.total == 0) return;
-      const int decile = static_cast<int>(10 * p.done / p.total);
-      if (decile != *lastDecile) {
-        *lastDecile = decile;
-        std::fprintf(stderr, "  ... %s %d%%\n", p.phase, decile * 10);
-      }
-    };
-  }
-
-  // --shard KxL: route the run through the shard coordinator, with the
-  // requested --strategy as the per-tile inner strategy.
-  std::string strategyName = cli.strategy;
-  std::vector<std::string> strategyOptions = cli.strategyOptions;
-  if (!cli.shardTiles.empty()) {
-    if (cli.strategy == "all") {
-      std::fprintf(stderr, "--shard cannot be combined with --strategy all\n");
-      return 2;
-    }
-    std::vector<std::string> options{"tiles=" + cli.shardTiles};
-    if (cli.strategy != "sharded") {
-      options.push_back("strategy=" + cli.strategy);
-    }
-    options.insert(options.end(), strategyOptions.begin(),
-                   strategyOptions.end());
-    strategyName = "sharded";
-    strategyOptions = std::move(options);
-  }
-
-  std::vector<std::string> toRun;
-  if (cli.strategy == "all") {
-    toRun = registry.names();
-    if (!cli.strategyOptions.empty()) {
-      std::fprintf(stderr,
-                   "--opt is strategy-specific and cannot be combined with "
-                   "--strategy all\n");
-      return 2;
-    }
-  } else {
-    toRun.push_back(strategyName);
-  }
-
-  const engine::Engine eng(cli.resources);
-  analysis::Table table({"strategy", "seconds", "iters", "accept", "circles",
-                         "logP", "converge@", truth.empty() ? "-" : "F1"});
-  std::vector<engine::RunReport> reports;
-  for (const std::string& name : toRun) {
-    *lastDecile = -1;
-    try {
-      engine::RunReport report =
-          eng.run(name, problem, cli.budget, hooks, strategyOptions);
-      std::string f1 = "-";
-      if (!truth.empty()) {
-        f1 = analysis::Table::num(
-            analysis::scoreCircles(report.circles, truth, cli.radius * 0.75)
-                .f1,
-            3);
-      }
-      table.addRow(
-          {report.strategy, analysis::Table::num(report.wallSeconds, 3),
-           analysis::Table::integer(static_cast<long long>(report.iterations)),
-           analysis::Table::num(report.acceptanceRate, 3),
-           analysis::Table::integer(
-               static_cast<long long>(report.circles.size())),
-           analysis::Table::num(report.logPosterior, 1),
-           report.iterationsToConverge
-               ? analysis::Table::integer(
-                     static_cast<long long>(*report.iterationsToConverge))
-               : "-",
-           f1});
-      reports.push_back(std::move(report));
+      jobs = serve::parseBatchManifest(manifest);
     } catch (const engine::EngineError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
+      std::fprintf(stderr, "%s: %s\n", cli.batchPath.c_str(), e.what());
       return 2;
     }
+    // Seeded by manifest position, not by server job id, so a job's answer
+    // does not depend on how its line is submitted.
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (!jobs[i].seed) {
+        jobs[i].seed = engine::deriveJobSeed(cli.resources.seed, i);
+      }
+    }
+  } else {
+    jobs = cliJobs(cli, registry);
   }
 
-  table.print(std::cout);
-  std::printf("\n");
-  for (const engine::RunReport& report : reports) printExtras(report);
-  return 0;
+  const TraceOutput traceOutput(cli.traceOut);
+  serve::ServerOptions options;
+  options.threads = cli.resources.threads;
+  options.maxConcurrentJobs = cli.maxJobs;
+  options.defaultBudget = cli.budget;
+  options.seed = cli.resources.seed;
+  options.useOpenMp = cli.resources.useOpenMp;
+  options.radius = cli.radius;
+  options.synthWidth = cli.width;
+  options.synthHeight = cli.height;
+  options.synthCells = cli.cells;
+  options.retainJobs = jobs.size();  // no result is pruned before it prints
+  serve::Server server(options);
+
+  const auto started = std::chrono::steady_clock::now();
+  const std::optional<std::vector<Outcome>> outcomes =
+      serveJobs(server, jobs, cli);
+  if (!outcomes) return 2;
+  if (!cli.batchPath.empty()) {
+    printBatch(*outcomes, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - started)
+                              .count());
+  } else if (!cli.sequence.empty()) {
+    printSequence(cli, outcomes->front().report);
+  } else {
+    printRuns(cli, *outcomes,
+              cli.imagePath.empty() ? server.synthTruth()
+                                    : std::vector<model::Circle>{});
+  }
+
+  int status = 0;
+  for (std::size_t i = 0; i < outcomes->size(); ++i) {
+    const serve::JobStatus& job = (*outcomes)[i].status;
+    if (job.state != serve::JobState::Failed) continue;
+    std::fprintf(stderr, "job %zu failed: %s\n", i, job.error.c_str());
+    status = 1;
+  }
+  return status;
 }
