@@ -102,20 +102,22 @@ struct PeriodicSampler::Impl {
   const mcmc::MoveRegistry& registry;
   PeriodicParams params;
   rng::Stream master;
-  std::unique_ptr<par::ThreadPool> pool;
+  par::PoolLease inlineLease;  ///< the one-thread lease a null lease means
+  par::PoolLease* lease;
   std::unique_ptr<spec::SpeculativeExecutor> specExec;
   std::uint64_t phaseCounter = 0;
 
   Impl(model::ModelState& s, const mcmc::MoveRegistry& r,
-       const PeriodicParams& p, std::uint64_t seed)
-      : state(s), registry(r), params(p), master(seed) {
-    if (params.executor == LocalExecutor::InPlacePool) {
-      pool = par::makeThreadPool(params.threads);
-    }
+       const PeriodicParams& p, std::uint64_t seed, par::PoolLease* l)
+      : state(s),
+        registry(r),
+        params(p),
+        master(seed),
+        lease(l != nullptr ? l : &inlineLease) {
     if (params.specLanesGlobal > 1) {
       specExec = std::make_unique<spec::SpeculativeExecutor>(
           state, registry, params.specLanesGlobal,
-          master.derive(0xC0FFEE).bits(), pool.get());
+          master.derive(0xC0FFEE).bits(), lease);
     }
   }
 
@@ -238,7 +240,7 @@ struct PeriodicSampler::Impl {
         break;
       }
       case LocalExecutor::InPlacePool: {
-        pool->parallelFor(partitions.size(), [&](std::size_t i) {
+        lease->parallelFor(partitions.size(), [&](std::size_t i) {
           if (allocation[i] == 0) return;
           results[i] =
               runLocalSessionShared(state, registry, constraints[i],
@@ -255,7 +257,7 @@ struct PeriodicSampler::Impl {
                                                  constraints[i], candidates[i],
                                                  allocation[i], streams[i]);
             },
-            params.threads);
+            lease->threads());
         break;
       }
       case LocalExecutor::SplitMergeSerial: {
@@ -384,8 +386,8 @@ struct PeriodicSampler::Impl {
 PeriodicSampler::PeriodicSampler(model::ModelState& state,
                                  const mcmc::MoveRegistry& registry,
                                  const PeriodicParams& params,
-                                 std::uint64_t seed)
-    : impl_(std::make_unique<Impl>(state, registry, params, seed)) {}
+                                 std::uint64_t seed, par::PoolLease* lease)
+    : impl_(std::make_unique<Impl>(state, registry, params, seed, lease)) {}
 
 PeriodicSampler::~PeriodicSampler() = default;
 

@@ -7,7 +7,7 @@
 #include "mcmc/move_registry.hpp"
 #include "mcmc/run_hooks.hpp"
 #include "model/posterior.hpp"
-#include "par/thread_pool.hpp"
+#include "par/concurrency.hpp"
 #include "rng/stream.hpp"
 
 namespace mcmcpar::core {
@@ -18,11 +18,12 @@ enum class LocalExecutor : std::uint8_t {
   /// basis for virtual-time accounting (per-partition costs are measured
   /// undisturbed).
   Serial,
-  /// Shared-memory concurrency on the library ThreadPool; workers mutate the
-  /// shared state under the legality margin (partition::
-  /// inPlaceSafetyMargin) and accumulate scalar deltas thread-locally.
+  /// Shared-memory concurrency on the sampler's par::PoolLease (its
+  /// parallelFor); workers mutate the shared state under the legality
+  /// margin (partition::inPlaceSafetyMargin) and accumulate scalar deltas
+  /// thread-locally.
   InPlacePool,
-  /// As InPlacePool but on OpenMP threads.
+  /// As InPlacePool but on an OpenMP team of the lease's thread count.
   InPlaceOmp,
   /// Deep-copied sub-states (crop + copy, run, merge back) executed
   /// serially: the faithful "duplicate ... and merge" path of §VII whose
@@ -39,7 +40,8 @@ enum class PartitionLayout : std::uint8_t {
   UniformGrid,
 };
 
-/// Parameters of the periodic-partitioning sampler.
+/// Parameters of the periodic-partitioning sampler. The real threads are
+/// not a parameter: they are the par::PoolLease the sampler is given.
 struct PeriodicParams {
   std::uint64_t totalIterations = 100000;  ///< N (global + local combined)
   /// z: Mg iterations per global phase. The local phase then performs
@@ -55,16 +57,17 @@ struct PeriodicParams {
   double margin = -1.0;
 
   LocalExecutor executor = LocalExecutor::Serial;
-  unsigned threads = 0;  ///< real worker threads (0 = hardware)
 
   /// When > 0, also account a virtual wall clock for an SMP with this many
-  /// threads (requires a serial executor so per-partition costs are
-  /// measured undisturbed; see par::VirtualClock). Adds
-  /// makespan(partition costs) per local phase plus the measured
-  /// split/merge overhead.
+  /// threads (see par::VirtualClock). Adds makespan(partition costs) per
+  /// local phase plus the measured split/merge overhead. The per-partition
+  /// costs are measured undisturbed only under a serial executor; nothing
+  /// enforces one, and the engine's `executor=auto` picks InPlacePool on a
+  /// multi-thread lease, where the costs are measured under concurrency.
   unsigned virtualThreads = 0;
 
-  /// Speculative lanes during global phases (eq. 3); 1 disables.
+  /// Speculative lanes during global phases (eq. 3), evaluated on the
+  /// sampler's lease; 1 disables.
   unsigned specLanesGlobal = 1;
 
   /// Ablation: when false, the partition layout is fixed across phases
@@ -116,8 +119,13 @@ struct PeriodicReport {
 /// iterations to partitions in proportion to their modifiable features.
 class PeriodicSampler {
  public:
+  /// `lease` holds the real threads: the InPlacePool partitions and the
+  /// global-phase speculative lanes run on its parallelFor, and the
+  /// InPlaceOmp team has its thread count. Null means one thread, the
+  /// caller. The lease is borrowed and must outlive the sampler.
   PeriodicSampler(model::ModelState& state, const mcmc::MoveRegistry& registry,
-                  const PeriodicParams& params, std::uint64_t seed);
+                  const PeriodicParams& params, std::uint64_t seed,
+                  par::PoolLease* lease = nullptr);
   ~PeriodicSampler();
 
   PeriodicSampler(const PeriodicSampler&) = delete;

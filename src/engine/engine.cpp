@@ -1,6 +1,8 @@
 #include "engine/engine.hpp"
 
 #include "engine/registry.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "rng/splitmix64.hpp"
 
 namespace mcmcpar::engine {
@@ -18,10 +20,21 @@ std::unique_ptr<Strategy> Engine::make(
 
 RunReport Engine::run(const std::string& strategy, const Problem& problem,
                       const RunBudget& budget, const RunHooks& hooks,
-                      const std::vector<std::string>& options) const {
+                      const std::vector<std::string>& options,
+                      const std::string& label) const {
   const std::unique_ptr<Strategy> instance = make(strategy, options);
-  instance->prepare(problem);
-  return instance->run(budget, hooks);
+  obs::Span jobSpan("engine", "job:" + strategy);
+  if (!label.empty()) jobSpan.arg("label", label);
+  {
+    obs::Span prepareSpan("engine", "prepare:" + strategy);
+    instance->prepare(problem);
+  }
+  RunReport report = instance->run(budget, hooks);
+  obs::Registry::global()
+      .counter("mcmcpar_engine_runs_total", "Strategy runs completed.",
+               {{"strategy", strategy}})
+      .add();
+  return report;
 }
 
 std::uint64_t deriveJobSeed(std::uint64_t masterSeed,

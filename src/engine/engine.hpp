@@ -61,7 +61,7 @@ struct Problem {
 /// `threads`/`seed` knobs live, replacing the per-strategy copies.
 struct ExecResources {
   unsigned threads = 0;  ///< worker threads (0 = hardware, via par::resolveThreadCount)
-  bool useOpenMp = false;  ///< prefer OpenMP over the library ThreadPool
+  bool useOpenMp = false;  ///< prefer OpenMP teams for periodic's local phases
   std::uint64_t seed = 1;
 
   /// When set (borrowed, e.g. by serve::Server or a sharded job's tiles),
@@ -126,8 +126,11 @@ class Strategy {
 class StrategyRegistry;
 
 /// The façade: one object that can execute any registered strategy by name
-/// on shared resources. See tools/mcmcpar_run.cpp for the full CLI built on
-/// top of it, and examples/quickstart.cpp for the shortest path.
+/// on shared resources. Engine::run is the one strategy runner: a served
+/// job (serve::Server), a shard tile on the local backend and a sequence
+/// frame (stream::SequenceRunner) all go through it, so each run gets the
+/// same trace spans and counts in `mcmcpar_engine_runs_total`.
+/// examples/quickstart.cpp shows the shortest path.
 class Engine {
  public:
   /// `registry` defaults to the built-in six-strategy registry and is
@@ -140,11 +143,16 @@ class Engine {
       const std::string& strategy,
       const std::vector<std::string>& options = {}) const;
 
-  /// One-shot convenience: create, prepare, run.
+  /// Create, prepare and run one strategy inside an `engine` trace span
+  /// `job:<strategy>` (with a `label` argument when `label` is not empty)
+  /// that encloses a `prepare:<strategy>` span; a run that returns adds one
+  /// to `mcmcpar_engine_runs_total{strategy}`. Throws what creation,
+  /// prepare or the run throws.
   [[nodiscard]] RunReport run(const std::string& strategy,
                               const Problem& problem, const RunBudget& budget,
                               const RunHooks& hooks = {},
-                              const std::vector<std::string>& options = {}) const;
+                              const std::vector<std::string>& options = {},
+                              const std::string& label = {}) const;
 
   [[nodiscard]] const StrategyRegistry& registry() const noexcept {
     return *registry_;

@@ -53,9 +53,6 @@ class OptionMap {
   [[nodiscard]] static OptionMap parse(const std::vector<std::string>& pairs);
 
   [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
-  [[nodiscard]] bool has(const std::string& key) const noexcept {
-    return values_.count(key) != 0;
-  }
 
   /// Stored keys starting with `prefix`, in lexicographic order. Listing
   /// does not mark them consumed — read each through a typed getter.

@@ -8,7 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <limits>
 
 #include "engine/registry.hpp"
 #include "mcmc/convergence.hpp"
@@ -62,12 +62,16 @@ class StrategyBase : public Strategy {
     }
   }
 
-  /// Resolve the `threads` knob for this run: against the whole machine
-  /// when standalone, against the shared budget when running as a served
-  /// job or a shard tile. Held for the duration of run() so concurrent jobs see the
-  /// reduced availability.
-  [[nodiscard]] par::PoolLease leaseThreads() const {
-    return par::PoolLease::acquire(resources_.poolBudget, resources_.threads);
+  /// Resolve the `threads` knob for this run, capped at `useful` (the most
+  /// threads the run's loop can keep busy): against the whole machine when
+  /// standalone, against the shared budget when running as a served job or
+  /// a shard tile. Held for the duration of run() so concurrent jobs see
+  /// the reduced availability; its parallelFor runs the strategy's loop
+  /// and its threads() is the report's threadsUsed.
+  [[nodiscard]] par::PoolLease leaseThreads(unsigned useful) const {
+    return par::PoolLease::acquire(
+        resources_.poolBudget,
+        std::min(par::resolveThreadCount(resources_.threads), useful));
   }
 
   [[nodiscard]] std::size_t initialCircleCount() const {
@@ -188,15 +192,9 @@ class SpeculativeStrategy final : public StrategyBase {
     rng::Stream stream(resources_.seed);
     model::ModelState state = makeState(stream);
 
-    const par::PoolLease lease = leaseThreads();
-    const unsigned workers = lease.threads();
-    std::unique_ptr<par::ThreadPool> pool;
-    // parallelFor also drains lanes on this (already-leased) thread, so the
-    // pool itself is one smaller than the lease: pool + caller == workers.
-    if (workers > 1 && lanes_ > 1) pool = par::makeThreadPool(workers - 1);
+    par::PoolLease lease = leaseThreads(lanes_);
     spec::SpeculativeExecutor executor(state, registry_, lanes_,
-                                       stream.derive(0x5BEC).bits(),
-                                       pool.get());
+                                       stream.derive(0x5BEC).bits(), &lease);
 
     // The executor has no internal trace; run in trace-sized chunks and
     // record the posterior between them.
@@ -237,7 +235,7 @@ class SpeculativeStrategy final : public StrategyBase {
     report.circles = state.config().snapshot();
     report.logPosterior = state.logPosterior();
     report.diagnostics = executor.diagnostics();
-    report.threadsUsed = pool ? std::min(workers, lanes_) : 1;
+    report.threadsUsed = lease.threads();
     report.extras = executor.stats();
     finaliseCommon(report);
     return report;
@@ -272,12 +270,6 @@ class Mc3Strategy final : public StrategyBase {
     params_.chains = options.uns("chains", 4);
     params_.heatStep = options.dbl("heat-step", 0.2);
     params_.swapInterval = options.u64("swap-interval", 100);
-    // The parallel-chains default depends on how many threads this run is
-    // actually granted, which under a shared budget is only known inside
-    // run(); remember whether the user forced it either way.
-    if (options.has("parallel")) {
-      parallelOverride_ = options.flag("parallel", false);
-    }
     if (params_.chains == 0) {
       throw EngineError("strategy '" + name_ + "': chains must be >= 1");
     }
@@ -289,17 +281,10 @@ class Mc3Strategy final : public StrategyBase {
 
   RunReport run(const RunBudget& budget, const RunHooks& hooks) override {
     requirePrepared();
-    const par::PoolLease lease = leaseThreads();
-    mcmc::Mc3Params params = params_;
-    params.parallelChains = parallelOverride_.value_or(lease.threads() > 1);
-    // The driver's chain-stepping parallelFor also runs on this thread, so
-    // its pool must be one smaller than the lease: pool + caller == lease.
-    params.threads = params.parallelChains && lease.threads() > 1
-                         ? lease.threads() - 1
-                         : lease.threads();
+    par::PoolLease lease = leaseThreads(params_.chains);
     mcmc::Mc3Sampler sampler(*problem_.filtered, prior_, problem_.likelihood,
-                             registry_, params, initialCircleCount(),
-                             resources_.seed);
+                             registry_, params_, initialCircleCount(),
+                             resources_.seed, &lease);
 
     const par::WallTimer timer;
     const std::uint64_t done =
@@ -312,9 +297,7 @@ class Mc3Strategy final : public StrategyBase {
     report.circles = sampler.coldChain().config().snapshot();
     report.logPosterior = sampler.coldChain().logPosterior();
     report.diagnostics = sampler.coldDiagnostics();
-    report.threadsUsed = params.parallelChains && params.chains > 1
-                             ? std::min(lease.threads(), params.chains)
-                             : 1;
+    report.threadsUsed = lease.threads();
     report.extras = sampler.stats();
     finaliseCommon(report);
     return report;
@@ -322,7 +305,6 @@ class Mc3Strategy final : public StrategyBase {
 
  private:
   mcmc::Mc3Params params_;
-  std::optional<bool> parallelOverride_;
 };
 
 // --------------------------------------------------------------------------
@@ -334,11 +316,7 @@ class PeriodicStrategy final : public StrategyBase {
                    const OptionMap& options)
       : StrategyBase(std::move(name), resources) {
     params_.globalPhaseIterations = options.u64("phase", 130);
-    params_.margin = options.dbl("margin", -1.0);
-    params_.specLanesGlobal = options.uns("spec-lanes", 1);
     params_.virtualThreads = options.uns("virtual-threads", 0);
-    params_.resyncPhaseInterval = options.u64("resync", 64);
-    // params_.threads is set in run() from the lease, not here.
 
     const std::string layout = options.str("layout", "cross");
     if (layout == "cross") {
@@ -378,9 +356,14 @@ class PeriodicStrategy final : public StrategyBase {
     rng::Stream stream(resources_.seed);
     model::ModelState state = makeState(stream);
 
-    const par::PoolLease lease = leaseThreads();
+    // The in-place executors run the partitions on the lease; the serial
+    // ones run on this thread alone, so they lease no extra thread.
     core::PeriodicParams params = params_;
-    params.threads = lease.threads();
+    const bool inPlace =
+        autoExecutor_ || params.executor == core::LocalExecutor::InPlacePool ||
+        params.executor == core::LocalExecutor::InPlaceOmp;
+    par::PoolLease lease =
+        leaseThreads(inPlace ? std::numeric_limits<unsigned>::max() : 1);
     if (autoExecutor_) {
       if (resources_.useOpenMp) {
         params.executor = core::LocalExecutor::InPlaceOmp;
@@ -390,18 +373,12 @@ class PeriodicStrategy final : public StrategyBase {
         params.executor = core::LocalExecutor::Serial;
       }
     }
-    // ThreadPool executors drain parallelFor on this thread too, so their
-    // pool is one smaller than the lease; an OpenMP team already counts the
-    // caller as its master thread.
-    if (params.executor == core::LocalExecutor::InPlacePool &&
-        params.threads > 1) {
-      --params.threads;
-    }
     params.totalIterations = budget.iterations;
     params.traceInterval = traceEvery(budget);
 
     const par::WallTimer timer;
-    core::PeriodicSampler sampler(state, registry_, params, resources_.seed);
+    core::PeriodicSampler sampler(state, registry_, params, resources_.seed,
+                                  &lease);
     core::PeriodicReport periodic = sampler.run(hooks);
 
     RunReport report = baseReport();
@@ -411,15 +388,7 @@ class PeriodicStrategy final : public StrategyBase {
     report.circles = state.config().snapshot();
     report.logPosterior = state.logPosterior();
     report.diagnostics = periodic.diagnostics;
-    switch (params.executor) {
-      case core::LocalExecutor::InPlacePool:
-      case core::LocalExecutor::InPlaceOmp:
-        report.threadsUsed = lease.threads();
-        break;
-      default:
-        report.threadsUsed = 1;
-        break;
-    }
+    report.threadsUsed = lease.threads();
     // Last read of `periodic` above — avoid copying its trace/diagnostics.
     report.extras = std::move(periodic);
     finaliseCommon(report);
@@ -441,17 +410,11 @@ class PipelineStrategy final : public StrategyBase {
       : StrategyBase(std::move(name), resources), blind_(blind) {
     params_.iterationsBase = options.u64("iters-base", 2000);
     params_.iterationsPerCircle = options.u64("iters-per-circle", 600);
-    params_.tracePoints = options.u64("trace-points", 200);
     if (blind_) {
       params_.blind.gridX = static_cast<int>(options.uns("grid-x", 2));
       params_.blind.gridY = static_cast<int>(options.uns("grid-y", 2));
       params_.blind.overlapMargin = options.dbl("overlap", 0.0);
       params_.blind.mergeRadius = options.dbl("merge-radius", 5.0);
-    } else {
-      params_.intelligent.minGapWidth =
-          static_cast<int>(options.uns("min-gap", 3));
-      params_.intelligent.minPartitionSize =
-          static_cast<int>(options.uns("min-partition", 24));
     }
   }
 
@@ -534,22 +497,21 @@ const StrategyRegistry& StrategyRegistry::builtin() {
                                                            opts);
             }});
     r->add({"mc3", "§IV", "Metropolis-coupled MCMC (heated chains + swaps)",
-            "Mc3Stats", "chains=N heat-step=X swap-interval=N parallel=B",
+            "Mc3Stats", "chains=N heat-step=X swap-interval=N",
             [](const ExecResources& res, const OptionMap& opts) {
               return std::make_unique<Mc3Strategy>("mc3", res, opts);
             }});
     r->add({"periodic", "§V-VII",
             "periodic partitioning (global/local phases)", "PeriodicReport",
             "phase=N executor=auto|serial|pool|omp|split-serial "
-            "layout=cross|grid margin=X spec-lanes=N virtual-threads=N "
-            "resync=N grid-x=X grid-y=X",
+            "layout=cross|grid virtual-threads=N grid-x=X grid-y=X",
             [](const ExecResources& res, const OptionMap& opts) {
               return std::make_unique<PeriodicStrategy>("periodic", res, opts);
             }});
     r->add({"blind", "§VIII-IX", "blind image partitioning + merge heuristics",
             "PipelineReport",
             "grid-x=N grid-y=N overlap=X merge-radius=X iters-base=N "
-            "iters-per-circle=N trace-points=N",
+            "iters-per-circle=N",
             [](const ExecResources& res, const OptionMap& opts) {
               return std::make_unique<PipelineStrategy>("blind", res, opts,
                                                         /*blind=*/true);
@@ -557,8 +519,7 @@ const StrategyRegistry& StrategyRegistry::builtin() {
     r->add({"intelligent", "§VIII-IX",
             "intelligent image partitioning (empty-gap cuts)",
             "PipelineReport",
-            "min-gap=N min-partition=N iters-base=N iters-per-circle=N "
-            "trace-points=N",
+            "iters-base=N iters-per-circle=N",
             [](const ExecResources& res, const OptionMap& opts) {
               return std::make_unique<PipelineStrategy>("intelligent", res,
                                                         opts,

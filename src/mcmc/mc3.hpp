@@ -8,7 +8,7 @@
 #include "mcmc/move_registry.hpp"
 #include "mcmc/run_hooks.hpp"
 #include "model/posterior.hpp"
-#include "par/thread_pool.hpp"
+#include "par/concurrency.hpp"
 #include "rng/stream.hpp"
 
 namespace mcmcpar::mcmc {
@@ -26,11 +26,6 @@ struct Mc3Params {
   /// Every `swapInterval` per-chain iterations, one random adjacent pair is
   /// proposed for a state swap under the modified MH test.
   std::uint64_t swapInterval = 100;
-
-  /// Step the chains of an interval concurrently on a thread pool (chains
-  /// are independent between swaps, so this is exact task parallelism).
-  bool parallelChains = false;
-  unsigned threads = 0;
 };
 
 /// Swap bookkeeping.
@@ -62,11 +57,16 @@ struct Mc3Stats {
 class Mc3Sampler {
  public:
   /// Every chain gets its own ModelState initialised with `initialCircles`
-  /// random circles from its own substream.
+  /// random circles from its own substream. The chains of an interval step
+  /// with `lease->parallelFor` (they are independent between swaps, so this
+  /// is exact task parallelism): concurrently when the lease has more than
+  /// one thread, in order on the calling thread when it is null. The lease
+  /// is borrowed and must outlive the sampler.
   Mc3Sampler(const img::ImageF& filtered, const model::PriorParams& prior,
              const model::LikelihoodParams& likelihood,
              const MoveRegistry& registry, const Mc3Params& params,
-             std::size_t initialCircles, std::uint64_t seed);
+             std::size_t initialCircles, std::uint64_t seed,
+             par::PoolLease* lease = nullptr);
   ~Mc3Sampler();
 
   Mc3Sampler(const Mc3Sampler&) = delete;

@@ -12,10 +12,6 @@ unsigned resolveThreadCount(unsigned requested) noexcept {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-std::unique_ptr<ThreadPool> makeThreadPool(unsigned requested) {
-  return std::make_unique<ThreadPool>(resolveThreadCount(requested));
-}
-
 PoolBudget::PoolBudget(unsigned total)
     : total_(resolveThreadCount(total)), available_(total_) {}
 
@@ -59,10 +55,19 @@ PoolLease PoolLease::acquire(PoolBudget* budget, unsigned requested) {
   return PoolLease(budget, extras, 1 + extras);
 }
 
+PoolLease::PoolLease() noexcept = default;
+
+PoolLease::PoolLease(PoolBudget* budget, unsigned granted,
+                     unsigned threads) noexcept
+    : budget_(budget), granted_(granted), threads_(threads) {}
+
+PoolLease::~PoolLease() { release(); }
+
 PoolLease::PoolLease(PoolLease&& other) noexcept
     : budget_(other.budget_),
       granted_(other.granted_),
-      threads_(other.threads_) {
+      threads_(other.threads_),
+      pool_(std::move(other.pool_)) {
   other.budget_ = nullptr;
   other.granted_ = 0;
   other.threads_ = 1;
@@ -74,6 +79,7 @@ PoolLease& PoolLease::operator=(PoolLease&& other) noexcept {
     budget_ = other.budget_;
     granted_ = other.granted_;
     threads_ = other.threads_;
+    pool_ = std::move(other.pool_);
     other.budget_ = nullptr;
     other.granted_ = 0;
     other.threads_ = 1;
@@ -81,7 +87,21 @@ PoolLease& PoolLease::operator=(PoolLease&& other) noexcept {
   return *this;
 }
 
+void PoolLease::parallelFor(std::size_t n,
+                            const std::function<void(std::size_t)>& fn) {
+  if (threads_ <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // ThreadPool::parallelFor drains indices on the calling thread too, so
+  // threads_ - 1 workers plus the caller are exactly the leased threads.
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
+  pool_->parallelFor(n, fn);
+}
+
 void PoolLease::release() noexcept {
+  // Join the workers before their threads go back to the budget.
+  pool_.reset();
   if (budget_ != nullptr && granted_ > 0) budget_->release(granted_);
   budget_ = nullptr;
   granted_ = 0;

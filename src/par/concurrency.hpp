@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <mutex>
 
@@ -13,11 +15,6 @@ class ThreadPool;
 /// (never less than 1). Every `threads` field in the library routes through
 /// this one function so the convention cannot drift between subsystems.
 [[nodiscard]] unsigned resolveThreadCount(unsigned requested) noexcept;
-
-/// Build a ThreadPool with `resolveThreadCount(requested)` workers — the
-/// shared "0 = hardware threads -> make pool" step previously re-implemented
-/// by the periodic sampler, (MC)^3 and the engine executors.
-[[nodiscard]] std::unique_ptr<ThreadPool> makeThreadPool(unsigned requested);
 
 class PoolLease;
 
@@ -69,14 +66,18 @@ class PoolBudget {
   unsigned available_;
 };
 
-/// RAII grant of worker threads against an optional PoolBudget.
+/// RAII grant of worker threads against an optional PoolBudget, and the one
+/// fork-join every parallel loop outside src/par/ runs on.
 ///
 /// `threads()` is the number of workers the holder may run, the calling
 /// thread included — it is never 0, so a job can always make progress.
+/// parallelFor runs a loop on exactly those threads: inline on the caller
+/// for a one-thread lease, otherwise on `threads() - 1` pool workers with
+/// the caller as the last member.
 class PoolLease {
  public:
   /// An unbudgeted single-thread lease.
-  PoolLease() = default;
+  PoolLease() noexcept;
 
   /// Resolve a thread request against an optional shared budget. With
   /// `budget == nullptr` this is exactly resolveThreadCount(requested): the
@@ -88,7 +89,7 @@ class PoolLease {
   [[nodiscard]] static PoolLease acquire(PoolBudget* budget,
                                          unsigned requested);
 
-  ~PoolLease() { release(); }
+  ~PoolLease();
 
   PoolLease(PoolLease&& other) noexcept;
   PoolLease& operator=(PoolLease&& other) noexcept;
@@ -98,16 +99,27 @@ class PoolLease {
   /// Worker threads granted to the holder (calling thread included, >= 1).
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
 
-  /// Return the leased extras to the budget early (idempotent).
+  /// Run fn(i) for every i in [0, n) on the leased threads and return when
+  /// all have finished. A one-thread lease (or a one-index loop) runs every
+  /// index in order on the calling thread and starts no thread. Otherwise
+  /// the workers — created on the first such call and kept until release —
+  /// and the caller drain the indices dynamically, so at most threads()
+  /// run at once. The first exception thrown by fn propagates. fn may call
+  /// parallelFor on the same lease; distinct threads must not call it
+  /// concurrently.
+  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
+
+  /// Join the workers and return the leased extras to the budget early
+  /// (idempotent).
   void release() noexcept;
 
  private:
-  PoolLease(PoolBudget* budget, unsigned granted, unsigned threads) noexcept
-      : budget_(budget), granted_(granted), threads_(threads) {}
+  PoolLease(PoolBudget* budget, unsigned granted, unsigned threads) noexcept;
 
   PoolBudget* budget_ = nullptr;
   unsigned granted_ = 0;  ///< extras to give back on release
   unsigned threads_ = 1;
+  std::unique_ptr<ThreadPool> pool_;  ///< threads_ - 1 workers, made lazily
 };
 
 }  // namespace mcmcpar::par

@@ -470,20 +470,9 @@ void Server::workerLoop(const std::stop_token& stop) {
         };
 
         try {
-          const std::unique_ptr<engine::Strategy> strategy =
-              engine::StrategyRegistry::builtin().create(
-                  spec->strategy, resources, spec->options);
-          obs::Span engineSpan("engine", "job:" + spec->strategy);
-          engineSpan.arg("label", spec->label);
-          {
-            obs::Span prepareSpan("engine", "prepare:" + spec->strategy);
-            strategy->prepare(problem);
-          }
-          report = strategy->run(budgetFor(options_, *spec), hooks);
-          obs::Registry::global()
-              .counter("mcmcpar_engine_runs_total", "Strategy runs completed.",
-                       {{"strategy", spec->strategy}})
-              .add();
+          report = engine::Engine(resources)
+                       .run(spec->strategy, problem, budgetFor(options_, *spec),
+                            hooks, spec->options, spec->label);
         } catch (const std::exception& e) {
           error = e.what();
         }

@@ -29,7 +29,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/concurrency.hpp"
-#include "par/thread_pool.hpp"
 #include "par/virtual_clock.hpp"
 #include "partition/prior_estimation.hpp"
 #include "serve/protocol.hpp"
@@ -69,6 +68,8 @@ struct BackendResult {
   /// Local backend only (remote reports carry no trace): like the §IX
   /// pipelines, the shard converges when its slowest tile does.
   std::optional<std::uint64_t> iterationsToConverge;
+  /// Tiles run at once: the local lease's threads, or the endpoint count.
+  unsigned threadsUsed = 1;
 };
 
 /// Whole-shard progress in mcmc::RunProgress's unit, logical iterations:
@@ -129,7 +130,6 @@ class ShardStrategy final : public engine::Strategy {
     halo_ = static_cast<int>(halo);
     tileIters_ = options.u64("tile-iters", 0);
     minTileIters_ = options.u64("min-tile-iters", 2000);
-    stitch_.iouThreshold = options.dbl("iou", 0.3);
     timeoutSeconds_ = options.dbl("timeout", 600.0);
 
     const std::string backend = options.str("backend", "local");
@@ -154,7 +154,6 @@ class ShardStrategy final : public engine::Strategy {
           "endpoints-file=PATH");
     }
     pingTimeout_ = options.dbl("ping-timeout", 5.0);
-    pingInterval_ = options.dbl("ping-interval", 30.0);
 
     innerStrategy_ = options.str("strategy", "serial");
     if (innerStrategy_ == name_) {
@@ -322,7 +321,7 @@ class ShardStrategy final : public engine::Strategy {
     return crops;
   }
 
-  // ---- local backend: the tiles on a ThreadPool under the shared budget ----
+  // ---- local backend: the tiles on a lease of the shared budget ----
 
   /// Run tile `i` on the calling thread, seeded deriveJobSeed(seed, i) as
   /// the socket backend seeds it. Throws whatever creation or the run
@@ -332,17 +331,9 @@ class ShardStrategy final : public engine::Strategy {
       const engine::RunBudget& tileBudget, engine::ExecResources resources,
       const engine::RunHooks& tileHooks) const {
     resources.seed = engine::deriveJobSeed(resources_.seed, i);
-    const std::unique_ptr<engine::Strategy> strategy =
-        registry_->create(innerStrategy_, resources, innerOptions_);
-    obs::Span jobSpan("engine", "job:" + innerStrategy_);
-    jobSpan.arg("label", tileLabel(spec));
-    strategy->prepare(tileProblem(crop, spec));
-    engine::RunReport report = strategy->run(tileBudget, tileHooks);
-    obs::Registry::global()
-        .counter("mcmcpar_engine_runs_total", "Strategy runs completed.",
-                 {{"strategy", innerStrategy_}})
-        .add();
-    return report;
+    return engine::Engine(resources, registry_)
+        .run(innerStrategy_, tileProblem(crop, spec), tileBudget, tileHooks,
+             innerOptions_, tileLabel(spec));
   }
 
   [[nodiscard]] BackendResult runLocal(
@@ -362,7 +353,7 @@ class ShardStrategy final : public engine::Strategy {
       tileBudget = &ownBudget.emplace(resources_.threads);
       (void)tileBudget->tryAcquire(1);
     }
-    const par::PoolLease lease =
+    par::PoolLease lease =
         par::PoolLease::acquire(tileBudget, static_cast<unsigned>(n));
     engine::ExecResources tileResources = resources_;
     tileResources.poolBudget = tileBudget;
@@ -381,6 +372,7 @@ class ShardStrategy final : public engine::Strategy {
     BackendResult result;
     result.report.tiles.resize(n);
     result.circles.resize(n);
+    result.threadsUsed = lease.threads();
     std::mutex doneMutex;
     auto progress = progressBeat(hooks, budgets);
     const auto run = [&](std::size_t i) {
@@ -413,14 +405,7 @@ class ShardStrategy final : public engine::Strategy {
       }
       progress(i);  // serialised, so the whole-shard beat stays monotone
     };
-    if (lease.threads() <= 1) {
-      for (std::size_t i = 0; i < n; ++i) run(i);
-    } else {
-      // threads-1 workers plus the calling thread: parallelFor's caller
-      // helps drain the queue, so exactly lease.threads() tiles run at once.
-      par::ThreadPool pool(lease.threads() - 1);
-      pool.parallelFor(n, run);
-    }
+    lease.parallelFor(n, run);
     return result;
   }
 
@@ -470,7 +455,7 @@ class ShardStrategy final : public engine::Strategy {
     // temp files, no shared filesystem, no 8-bit quantisation: the remote
     // tile sees the coordinator's pixels bit-for-bit.
     const std::vector<img::ImageF> crops = tileCrops(grid);
-    EndpointPool pool(endpoints_, pingTimeout_, pingInterval_);
+    EndpointPool pool(endpoints_, pingTimeout_);
     if (pool.checkAll() == 0) {
       reject("no endpoint answered PING (fleet: " +
              formatEndpointList(endpoints_) + ")");
@@ -484,6 +469,7 @@ class ShardStrategy final : public engine::Strategy {
     const Clock::time_point origin = Clock::now();  // the machine's t = 0
     BackendResult result;
     result.circles.resize(grid.tiles.size());
+    result.threadsUsed = static_cast<unsigned>(endpoints_.size());
     const auto progress = progressBeat(hooks, budgets);
     obs::Histogram& network = shardSeconds(
         "mcmcpar_shard_network_seconds",
@@ -608,8 +594,9 @@ class ShardStrategy final : public engine::Strategy {
     };
 
     // Submit every tile, then one poll pass per 20 ms tick. Stale
-    // endpoints are re-probed (a no-op until ping-interval elapses)
-    // between passes, ahead of any placement a pass makes.
+    // endpoints are re-probed (a no-op until the pool's 30 s ping
+    // interval elapses) between passes, ahead of any placement a pass
+    // makes.
     for (int pass = 0;; ++pass) {
       while (const std::optional<FanoutAction> a = fanout.next()) {
         Flight& flight =
@@ -667,7 +654,7 @@ class ShardStrategy final : public engine::Strategy {
             model::Circle{c.x + halo.x0, c.y + halo.y0, c.r});
       }
     }
-    const StitchResult stitched = stitchCircles(grid, perTile, stitch_);
+    const StitchResult stitched = stitchCircles(grid, perTile, {});
 
     ShardReport& shardReport = result.report;
     shardReport.gridX = grid.gridX;
@@ -715,9 +702,7 @@ class ShardStrategy final : public engine::Strategy {
     }
     report.logPosterior = merged.logPosterior();
     report.circles = stitched.circles;
-    report.threadsUsed =
-        socketBackend_ ? static_cast<unsigned>(endpoints_.size())
-                       : par::resolveThreadCount(resources_.threads);
+    report.threadsUsed = result.threadsUsed;
 
     shardReport.mergeSeconds = mergeTimer.seconds();
     shardSeconds("mcmcpar_shard_stitch_seconds",
@@ -741,12 +726,10 @@ class ShardStrategy final : public engine::Strategy {
   int halo_ = 16;
   std::uint64_t tileIters_ = 0;
   std::uint64_t minTileIters_ = 2000;
-  StitchOptions stitch_;
   double timeoutSeconds_ = 600.0;
   bool socketBackend_ = false;
   std::vector<Endpoint> endpoints_;
   double pingTimeout_ = 5.0;
-  double pingInterval_ = 30.0;
   std::string innerStrategy_;
   std::vector<std::string> innerOptions_;
   engine::Problem problem_;
@@ -764,8 +747,8 @@ void registerShardedStrategy(engine::StrategyRegistry& registry) {
        "ShardReport",
        "tiles=KxL|auto max-tiles=N min-tile-size=N halo=N hedge-factor=X "
        "backend=local|socket endpoints=host:port[*W],... "
-       "endpoints-file=PATH ping-timeout=X ping-interval=X strategy=NAME "
-       "inner.K=V tile-iters=N min-tile-iters=N iou=X timeout=X",
+       "endpoints-file=PATH ping-timeout=X strategy=NAME inner.K=V "
+       "tile-iters=N min-tile-iters=N timeout=X",
        [reg](const engine::ExecResources& res,
              const engine::OptionMap& opts) {
          return std::make_unique<ShardStrategy>("sharded", reg, res, opts);

@@ -8,12 +8,12 @@ namespace mcmcpar::spec {
 SpeculativeExecutor::SpeculativeExecutor(model::ModelState& state,
                                          const mcmc::MoveRegistry& registry,
                                          unsigned lanes, std::uint64_t seed,
-                                         par::ThreadPool* pool)
+                                         par::PoolLease* lease)
     : state_(state),
       registry_(registry),
       lanes_(std::max(lanes, 1u)),
       master_(seed),
-      pool_(pool) {}
+      lease_(lease != nullptr ? lease : &inline_) {}
 
 std::uint64_t SpeculativeExecutor::round(MovePhase phase,
                                          const mcmc::SelectionContext& ctx) {
@@ -48,11 +48,7 @@ std::uint64_t SpeculativeExecutor::round(MovePhase phase,
     l.pending = l.move->propose(state_, ctx, l.stream);
   };
 
-  if (pool_ != nullptr && lanes_ > 1) {
-    pool_->parallelFor(lanes_, evaluate);
-  } else {
-    for (unsigned k = 0; k < lanes_; ++k) evaluate(k);
-  }
+  lease_->parallelFor(lanes_, evaluate);
 
   // Sequential commit scan: the first accepted lane ends the round.
   std::uint64_t consumed = lanes_;

@@ -6,7 +6,7 @@
 #include "mcmc/move_registry.hpp"
 #include "mcmc/run_hooks.hpp"
 #include "mcmc/sampler.hpp"
-#include "par/thread_pool.hpp"
+#include "par/concurrency.hpp"
 
 namespace mcmcpar::spec {
 
@@ -53,12 +53,18 @@ struct SpeculativeStats {
 /// chain trajectory is independent of evaluation order and thread timing.
 class SpeculativeExecutor {
  public:
-  /// `pool` enables genuinely parallel lane evaluation (proposals are
-  /// read-only); null evaluates lanes serially (single-core container,
-  /// virtual-time benches).
+  /// Lanes are evaluated with `lease->parallelFor` (proposals are
+  /// read-only), so a lease of more than one thread evaluates them
+  /// concurrently; null evaluates them in order on the calling thread
+  /// (virtual-time benches). The lease is borrowed and must outlive the
+  /// executor.
   SpeculativeExecutor(model::ModelState& state,
                       const mcmc::MoveRegistry& registry, unsigned lanes,
-                      std::uint64_t seed, par::ThreadPool* pool = nullptr);
+                      std::uint64_t seed, par::PoolLease* lease = nullptr);
+
+  // lease_ may point at inline_, so the executor stays where it was built.
+  SpeculativeExecutor(const SpeculativeExecutor&) = delete;
+  SpeculativeExecutor& operator=(const SpeculativeExecutor&) = delete;
 
   /// Execute one speculative round; returns consumed chain iterations.
   std::uint64_t round(MovePhase phase = MovePhase::Any,
@@ -79,7 +85,8 @@ class SpeculativeExecutor {
   const mcmc::MoveRegistry& registry_;
   unsigned lanes_;
   rng::Stream master_;
-  par::ThreadPool* pool_;
+  par::PoolLease inline_;  ///< the one-thread lease a null lease means
+  par::PoolLease* lease_;
   SpeculativeStats stats_;
   mcmc::Diagnostics diagnostics_;
   std::uint64_t roundCounter_ = 0;

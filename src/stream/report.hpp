@@ -16,7 +16,7 @@ struct FrameResult {
   std::size_t index = 0;  ///< 0-based position in the sequence
   std::string label;      ///< frame path, upload id, or "synth.<k>"
   std::uint64_t iterations = 0;
-  double wallSeconds = 0.0;
+  double wallSeconds = 0.0;    ///< the frame's strategy prepare plus run
   double acceptanceRate = 0.0;
   double logPosterior = 0.0;   ///< of this frame's final model
   std::size_t circles = 0;     ///< detections in this frame

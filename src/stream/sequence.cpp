@@ -39,9 +39,6 @@ engine::RunReport SequenceRunner::run(const SequenceSpec& spec,
                                 ")");
     }
   }
-  const engine::StrategyRegistry& registry =
-      registry_ != nullptr ? *registry_ : engine::StrategyRegistry::builtin();
-
   const par::WallTimer total;
   StreamReport streamReport;
   streamReport.innerStrategy = spec.strategy;
@@ -77,10 +74,6 @@ engine::RunReport SequenceRunner::run(const SequenceSpec& spec,
     engine::ExecResources frameResources = resources;
     frameResources.seed = engine::deriveJobSeed(resources.seed, k);
 
-    auto strategy =
-        registry.create(spec.strategy, frameResources, spec.options);
-    strategy->prepare(problem);
-
     engine::RunHooks frameHooks;
     frameHooks.cancelRequested = hooks.cancelRequested;
 
@@ -90,7 +83,9 @@ engine::RunReport SequenceRunner::run(const SequenceSpec& spec,
       obs::Span frameSpan("stream", "frame:" + std::to_string(k));
       frameSpan.arg("label", frame.label);
       frameSpan.arg("carried", std::to_string(carriedCount));
-      frameReport = strategy->run(spec.budget, frameHooks);
+      frameReport = engine::Engine(frameResources, registry_)
+                        .run(spec.strategy, problem, spec.budget, frameHooks,
+                             spec.options, frame.label);
     }
     const double seconds = timer.seconds();
     frameSeconds.push_back(seconds);

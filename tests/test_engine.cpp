@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <functional>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -9,6 +13,7 @@
 #include "analysis/metrics.hpp"
 #include "engine/registry.hpp"
 #include "img/synth.hpp"
+#include "par/concurrency.hpp"
 
 namespace mcmcpar::engine {
 namespace {
@@ -381,6 +386,80 @@ TEST(RunHooks, ImmediateCancellationStillReturnsAReport) {
       engine.run("serial", problem, RunBudget{50000, 0}, hooks);
   EXPECT_TRUE(report.cancelled);
   EXPECT_EQ(report.iterations, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Leases: a strategy holds only the threads its loop can use, and runs that
+// loop on exactly them.
+// ---------------------------------------------------------------------------
+
+/// Threads of this process right now (Linux: one /proc/self/task entry each).
+std::size_t osThreads() {
+  using std::filesystem::directory_iterator;
+  return static_cast<std::size_t>(std::distance(
+      directory_iterator("/proc/self/task"), directory_iterator()));
+}
+
+/// Run `name option` for 3000 iterations asking for 4 threads on `budget`,
+/// as a served job does, and call `probe` from every progress beat.
+void runOnBudget(par::PoolBudget& budget, const std::string& name,
+                 const std::string& option,
+                 const std::function<void()>& probe) {
+  const img::Scene scene = tinyScene(21);
+  ExecResources resources;
+  resources.threads = 4;
+  resources.seed = 3;
+  resources.poolBudget = &budget;
+  int beats = 0;
+  RunHooks hooks;
+  hooks.onProgress = [&](const RunProgress&) {
+    ++beats;
+    probe();
+  };
+  const RunReport report = Engine(resources).run(
+      name, tinyProblem(scene), RunBudget{3000, 0}, hooks, {option});
+  EXPECT_FALSE(report.cancelled);
+  EXPECT_GT(beats, 0);
+}
+
+/// OS threads beyond the caller's seen during `name option` when the
+/// caller's thread and another job's hold a whole PoolBudget(2), so the
+/// lease grants the caller alone.
+std::size_t extraThreadsOnAOneThreadLease(const std::string& name,
+                                          const std::string& option) {
+  par::PoolBudget budget(2);
+  EXPECT_EQ(budget.tryAcquire(2), 2u);
+  const std::size_t before = osThreads();
+  std::size_t peak = before;
+  runOnBudget(budget, name, option,
+              [&] { peak = std::max(peak, osThreads()); });
+  return peak - before;
+}
+
+/// The fewest free threads of a PoolBudget(4), the caller's already
+/// charged, seen during `name option`.
+unsigned leastFreeDuringRun(const std::string& name,
+                            const std::string& option) {
+  par::PoolBudget budget(4);
+  EXPECT_EQ(budget.tryAcquire(1), 1u);
+  unsigned least = budget.available();
+  runOnBudget(budget, name, option,
+              [&] { least = std::min(least, budget.available()); });
+  EXPECT_EQ(budget.available(), 3u);  // every extra is back
+  return least;
+}
+
+TEST(PoolLeases, AStrategyOnAOneThreadLeaseStartsNoThread) {
+  EXPECT_EQ(extraThreadsOnAOneThreadLease("periodic", "executor=pool"), 0u);
+  EXPECT_EQ(extraThreadsOnAOneThreadLease("mc3", "chains=4"), 0u);
+  EXPECT_EQ(extraThreadsOnAOneThreadLease("speculative", "lanes=4"), 0u);
+}
+
+TEST(PoolLeases, ALeaseHoldsNoThreadItsLoopCannotUse) {
+  EXPECT_EQ(leastFreeDuringRun("periodic", "executor=serial"), 3u);
+  EXPECT_EQ(leastFreeDuringRun("periodic", "executor=split-serial"), 3u);
+  EXPECT_EQ(leastFreeDuringRun("speculative", "lanes=2"), 2u);
+  EXPECT_EQ(leastFreeDuringRun("mc3", "chains=2"), 2u);
 }
 
 TEST(JobSeed, DerivedSeedsAreDistinctAndDeterministic) {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -26,14 +29,6 @@ TEST(Concurrency, ResolveThreadCountMapsZeroToHardware) {
   const unsigned hardware = resolveThreadCount(0);
   EXPECT_GE(hardware, 1u);
   EXPECT_EQ(hardware, std::max(1u, std::thread::hardware_concurrency()));
-}
-
-TEST(Concurrency, MakeThreadPoolHonoursResolution) {
-  const auto pool = makeThreadPool(2);
-  ASSERT_NE(pool, nullptr);
-  std::atomic<int> counter{0};
-  pool->parallelFor(8, [&](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 8);
 }
 
 TEST(PoolBudget, AcquireAndReleaseRoundTrip) {
@@ -102,6 +97,84 @@ TEST(PoolLease, MoveTransfersTheGrant) {
   EXPECT_EQ(budget.available(), 3u);
   b.release();  // idempotent
   EXPECT_EQ(budget.available(), 3u);
+}
+
+/// Threads of this process right now (Linux: one /proc/self/task entry each).
+std::size_t osThreads() {
+  using std::filesystem::directory_iterator;
+  return static_cast<std::size_t>(std::distance(
+      directory_iterator("/proc/self/task"), directory_iterator()));
+}
+
+TEST(PoolLease, ParallelForOnOneThreadRunsInlineOnTheCaller) {
+  PoolLease lease;  // one thread: the caller
+  const std::size_t before = osThreads();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  lease.parallelFor(16, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 16u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(osThreads(), before);  // no worker was started
+}
+
+TEST(PoolLease, ParallelForRunsEachIndexOnceOnAtMostTheLeasedThreads) {
+  PoolLease lease = PoolLease::acquire(nullptr, 3);
+  ASSERT_EQ(lease.threads(), 3u);
+  std::vector<std::atomic<int>> hits(64);
+  std::mutex mutex;
+  int inFlight = 0;
+  int peak = 0;
+  lease.parallelFor(hits.size(), [&](std::size_t i) {
+    {
+      const std::scoped_lock lock(mutex);
+      peak = std::max(peak, ++inFlight);
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    hits[i].fetch_add(1);
+    const std::scoped_lock lock(mutex);
+    --inFlight;
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_GE(peak, 1);
+  EXPECT_LE(peak, 3);
+}
+
+TEST(PoolLease, ParallelForPropagatesException) {
+  const auto throwAtFive = [](std::size_t i) {
+    if (i == 5) throw std::runtime_error("boom");
+  };
+  for (const unsigned threads : {1u, 3u}) {
+    PoolLease lease = PoolLease::acquire(nullptr, threads);
+    EXPECT_THROW(lease.parallelFor(8, throwAtFive), std::runtime_error);
+    // The lease stays usable after a throwing loop.
+    std::atomic<int> count{0};
+    lease.parallelFor(8, [&](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 8) << threads;
+  }
+}
+
+TEST(PoolLease, ParallelForWorkersJoinAndExtrasReturnOnRelease) {
+  PoolBudget budget(3);
+  const std::size_t before = osThreads();
+  PoolLease lease = PoolLease::acquire(&budget, 3);
+  ASSERT_EQ(lease.threads(), 3u);
+  EXPECT_EQ(budget.available(), 1u);
+  EXPECT_EQ(osThreads(), before);  // workers start with the first loop
+  std::atomic<int> count{0};
+  lease.parallelFor(8, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 8);
+  EXPECT_EQ(osThreads(), before + 2);  // threads() - 1 workers
+  lease.release();
+  // A joined thread's /proc entry can outlive the join by a moment.
+  for (int i = 0; i < 200 && osThreads() != before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(osThreads(), before);
+  EXPECT_EQ(budget.available(), 3u);
+  EXPECT_EQ(lease.threads(), 1u);
 }
 
 TEST(ThreadPool, RunsSubmittedTasks) {

@@ -60,15 +60,19 @@ PeriodicParams baseParams(LocalExecutor executor) {
   p.totalIterations = 6000;
   p.globalPhaseIterations = 40;
   p.executor = executor;
-  p.threads = 2;
   return p;
 }
+
+/// The real threads of the concurrent executors: two workers and the caller.
+par::PoolLease threeThreads() { return par::PoolLease::acquire(nullptr, 3); }
 
 class ExecutorSweep : public ::testing::TestWithParam<LocalExecutor> {};
 
 TEST_P(ExecutorSweep, RunsAndKeepsPosteriorCacheConsistent) {
   Fixture f(1);
-  PeriodicSampler sampler(f.state, f.registry, baseParams(GetParam()), 99);
+  par::PoolLease lease = threeThreads();
+  PeriodicSampler sampler(f.state, f.registry, baseParams(GetParam()), 99,
+                          &lease);
   const PeriodicReport report = sampler.run();
   EXPECT_GE(report.globalIterations + report.localIterations,
             baseParams(GetParam()).totalIterations);
@@ -84,7 +88,8 @@ TEST_P(ExecutorSweep, MoveMixMatchesQg) {
   Fixture f(2, 384);
   PeriodicParams params = baseParams(GetParam());
   params.totalIterations = 20000;
-  PeriodicSampler sampler(f.state, f.registry, params, 100);
+  par::PoolLease lease = threeThreads();
+  PeriodicSampler sampler(f.state, f.registry, params, 100, &lease);
   const PeriodicReport report = sampler.run();
   const double qg =
       static_cast<double>(report.globalIterations) /
@@ -111,8 +116,9 @@ TEST(PeriodicSampler, SerialAndPoolAgreeExactly) {
   PeriodicParams ps = baseParams(LocalExecutor::Serial);
   PeriodicParams pp = baseParams(LocalExecutor::InPlacePool);
   ps.margin = pp.margin = 48.0;  // align the candidate sets
+  par::PoolLease lease = threeThreads();
   PeriodicSampler sa(a.state, a.registry, ps, 7);
-  PeriodicSampler sb(b.state, b.registry, pp, 7);
+  PeriodicSampler sb(b.state, b.registry, pp, 7, &lease);
   sa.run();
   sb.run();
   EXPECT_EQ(a.state.config().size(), b.state.config().size());
@@ -124,8 +130,9 @@ TEST(PeriodicSampler, SerialAndOmpAgreeExactly) {
   PeriodicParams ps = baseParams(LocalExecutor::Serial);
   PeriodicParams po = baseParams(LocalExecutor::InPlaceOmp);
   ps.margin = po.margin = 48.0;
+  par::PoolLease lease = threeThreads();
   PeriodicSampler sa(a.state, a.registry, ps, 8);
-  PeriodicSampler sb(b.state, b.registry, po, 8);
+  PeriodicSampler sb(b.state, b.registry, po, 8, &lease);
   sa.run();
   sb.run();
   EXPECT_EQ(a.state.config().size(), b.state.config().size());

@@ -22,6 +22,7 @@
 #include "engine/registry.hpp"
 #include "img/pnm_io.hpp"
 #include "img/synth.hpp"
+#include "obs/metrics.hpp"
 #include "serve/image_cache.hpp"
 #include "serve/job_line.hpp"
 #include "serve/protocol.hpp"
@@ -292,6 +293,24 @@ TEST(Server, RunsASubmittedJobToCompletion) {
   EXPECT_EQ(report->iterations, 300u);
   EXPECT_EQ(report->strategy, "serial");
   EXPECT_FALSE(report->cancelled);
+}
+
+TEST(Server, EverySequenceFrameCountsAsAnEngineRun) {
+  const auto serialRuns = [] {
+    return obs::Registry::global()
+        .value("mcmcpar_engine_runs_total", {{"strategy", "serial"}})
+        .value_or(0.0);
+  };
+  Server server(tinyServer());
+  const double before = serialRuns();
+  const std::uint64_t id =
+      server.submitLine("synth serial @sequence=3 @iters=300");
+  ASSERT_TRUE(waitFor([&] {
+    const auto status = server.status(id);
+    return status && isTerminal(status->state);
+  }));
+  EXPECT_EQ(server.status(id)->state, JobState::Done);
+  EXPECT_EQ(serialRuns() - before, 3.0);
 }
 
 TEST(Server, RejectsBadSubmissionsAtAdmission) {

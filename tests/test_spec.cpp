@@ -106,9 +106,9 @@ TEST(SpeculativeExecutor, ParallelLanesMatchSemantics) {
   // compare *statistics* (the trajectories are identical because lane
   // streams are derived from (round, lane)).
   Fixture serial(7), pooled(7);
-  par::ThreadPool pool(2);
+  par::PoolLease lease = par::PoolLease::acquire(nullptr, 3);
   SpeculativeExecutor a(serial.state, serial.registry, 3, 17);
-  SpeculativeExecutor b(pooled.state, pooled.registry, 3, 17, &pool);
+  SpeculativeExecutor b(pooled.state, pooled.registry, 3, 17, &lease);
   a.run(2000);
   b.run(2000);
   EXPECT_EQ(a.stats().rounds, b.stats().rounds);

@@ -72,7 +72,7 @@ void printUsage() {
       "                      image into KxL tiles ('auto' = density-adaptive\n"
       "                      grid) with --strategy on each tile; shard knobs\n"
       "                      (halo=N backend=local|socket hedge-factor=X\n"
-      "                      endpoints=h:p[*W],... endpoints-file=PATH iou=X)\n"
+      "                      endpoints=h:p[*W],... endpoints-file=PATH)\n"
       "                      and inner.key=value options go through --opt\n"
       "  --sequence N|GLOB   streaming run over an ordered frame sequence:\n"
       "                      a decimal N generates N synthetic drifting\n"
