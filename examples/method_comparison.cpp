@@ -42,9 +42,7 @@ int main() {
   problem.prior.radiusMin = 4.0;
   problem.prior.radiusMax = 13.0;
 
-  const engine::Engine eng(engine::ExecResources{/*threads=*/0,
-                                                 /*useOpenMp=*/false,
-                                                 /*seed=*/17});
+  const engine::Engine eng(engine::ExecResources{.threads = 0, .seed = 17});
   analysis::Table table({"strategy", "seconds", "iters", "found", "precision",
                          "recall", "F1"});
   for (const std::string& name : eng.registry().names()) {

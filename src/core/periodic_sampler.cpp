@@ -7,7 +7,6 @@
 #include "core/split_merge.hpp"
 #include "mcmc/sampler.hpp"
 #include "par/concurrency.hpp"
-#include "par/omp_support.hpp"
 #include "par/task_scheduler.hpp"
 #include "par/virtual_clock.hpp"
 #include "partition/grid.hpp"
@@ -125,7 +124,6 @@ struct PeriodicSampler::Impl {
     if (params.margin >= 0.0) return params.margin;
     switch (params.executor) {
       case LocalExecutor::InPlacePool:
-      case LocalExecutor::InPlaceOmp:
         return partition::inPlaceSafetyMargin(state);
       default:
         return 0.0;
@@ -248,18 +246,6 @@ struct PeriodicSampler::Impl {
         });
         break;
       }
-      case LocalExecutor::InPlaceOmp: {
-        par::ompParallelFor(
-            partitions.size(),
-            [&](std::size_t i) {
-              if (allocation[i] == 0) return;
-              results[i] = runLocalSessionShared(state, registry,
-                                                 constraints[i], candidates[i],
-                                                 allocation[i], streams[i]);
-            },
-            lease->threads());
-        break;
-      }
       case LocalExecutor::SplitMergeSerial: {
         // Split: crop + copy each partition (sequential master work).
         const par::WallTimer splitTimer;
@@ -293,9 +279,8 @@ struct PeriodicSampler::Impl {
 
     // Fold worker deltas (shared-state sessions only; split/merge folded
     // through mergeSubState already).
-    const bool sharedState = params.executor == LocalExecutor::Serial ||
-                             params.executor == LocalExecutor::InPlacePool ||
-                             params.executor == LocalExecutor::InPlaceOmp;
+    const bool sharedState =
+        params.executor != LocalExecutor::SplitMergeSerial;
     std::vector<double> taskSeconds;
     taskSeconds.reserve(results.size());
     for (SessionResult& r : results) {

@@ -12,23 +12,23 @@
 
 namespace mcmcpar::core {
 
-/// How the local (Ml) phases execute their partitions.
+/// How the local (Ml) phases execute their partitions. The values are
+/// stable: 2 belonged to the retired OpenMP executor and stays unused, so
+/// SplitMergeSerial keeps the value it always had.
 enum class LocalExecutor : std::uint8_t {
   /// One after another on the calling thread. Reference semantics; also the
   /// basis for virtual-time accounting (per-partition costs are measured
   /// undisturbed).
-  Serial,
+  Serial = 0,
   /// Shared-memory concurrency on the sampler's par::PoolLease (its
   /// parallelFor); workers mutate the shared state under the legality
   /// margin (partition::inPlaceSafetyMargin) and accumulate scalar deltas
   /// thread-locally.
-  InPlacePool,
-  /// As InPlacePool but on an OpenMP team of the lease's thread count.
-  InPlaceOmp,
+  InPlacePool = 1,
   /// Deep-copied sub-states (crop + copy, run, merge back) executed
   /// serially: the faithful "duplicate ... and merge" path of §VII whose
   /// overhead Fig. 2 measures; required for virtual-time cluster modelling.
-  SplitMergeSerial,
+  SplitMergeSerial = 3,
 };
 
 /// How partitions are laid out each local phase.
@@ -120,9 +120,9 @@ struct PeriodicReport {
 class PeriodicSampler {
  public:
   /// `lease` holds the real threads: the InPlacePool partitions and the
-  /// global-phase speculative lanes run on its parallelFor, and the
-  /// InPlaceOmp team has its thread count. Null means one thread, the
-  /// caller. The lease is borrowed and must outlive the sampler.
+  /// global-phase speculative lanes run on its parallelFor. Null means one
+  /// thread, the caller. The lease is borrowed and must outlive the
+  /// sampler.
   PeriodicSampler(model::ModelState& state, const mcmc::MoveRegistry& registry,
                   const PeriodicParams& params, std::uint64_t seed,
                   par::PoolLease* lease = nullptr);

@@ -61,7 +61,10 @@ struct Problem {
 /// `threads`/`seed` knobs live, replacing the per-strategy copies.
 struct ExecResources {
   unsigned threads = 0;  ///< worker threads (0 = hardware, via par::resolveThreadCount)
-  bool useOpenMp = false;  ///< prefer OpenMP teams for periodic's local phases
+  /// Read by nothing. It stays only because the tests and perfbench/src
+  /// initialise ExecResources positionally as {threads, false, seed};
+  /// delete it together with those initialisers.
+  bool useOpenMp = false;
   std::uint64_t seed = 1;
 
   /// When set (borrowed, e.g. by serve::Server or a sharded job's tiles),

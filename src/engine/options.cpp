@@ -131,20 +131,6 @@ double OptionMap::dbl(const std::string& key, double fallback) const {
   return *value;
 }
 
-bool OptionMap::flag(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  consumed_[key] = true;
-  const std::string& text = it->second;
-  if (text == "true" || text == "1" || text == "on" || text == "yes") {
-    return true;
-  }
-  if (text == "false" || text == "0" || text == "off" || text == "no") {
-    return false;
-  }
-  badValue(key, text, "a boolean (true/false/1/0/on/off/yes/no)");
-}
-
 void OptionMap::requireConsumed(const std::string& context) const {
   std::string unknown;
   for (const auto& [key, value] : values_) {

@@ -67,7 +67,6 @@ class OptionMap {
                                   std::uint64_t fallback) const;
   [[nodiscard]] unsigned uns(const std::string& key, unsigned fallback) const;
   [[nodiscard]] double dbl(const std::string& key, double fallback) const;
-  [[nodiscard]] bool flag(const std::string& key, bool fallback) const;
 
   /// Throws EngineError listing keys never read by any getter — i.e. options
   /// the strategy named `context` does not understand.

@@ -339,14 +339,12 @@ class PeriodicStrategy final : public StrategyBase {
       params_.executor = core::LocalExecutor::Serial;
     } else if (executor == "pool") {
       params_.executor = core::LocalExecutor::InPlacePool;
-    } else if (executor == "omp") {
-      params_.executor = core::LocalExecutor::InPlaceOmp;
     } else if (executor == "split-serial") {
       params_.executor = core::LocalExecutor::SplitMergeSerial;
     } else {
       throw EngineError(
           "strategy '" + name_ + "': executor must be one of " +
-          "'auto', 'serial', 'pool', 'omp', 'split-serial', got '" +
+          "'auto', 'serial', 'pool', 'split-serial', got '" +
           executor + "'");
     }
   }
@@ -360,18 +358,13 @@ class PeriodicStrategy final : public StrategyBase {
     // ones run on this thread alone, so they lease no extra thread.
     core::PeriodicParams params = params_;
     const bool inPlace =
-        autoExecutor_ || params.executor == core::LocalExecutor::InPlacePool ||
-        params.executor == core::LocalExecutor::InPlaceOmp;
+        autoExecutor_ || params.executor == core::LocalExecutor::InPlacePool;
     par::PoolLease lease =
         leaseThreads(inPlace ? std::numeric_limits<unsigned>::max() : 1);
     if (autoExecutor_) {
-      if (resources_.useOpenMp) {
-        params.executor = core::LocalExecutor::InPlaceOmp;
-      } else if (lease.threads() > 1) {
-        params.executor = core::LocalExecutor::InPlacePool;
-      } else {
-        params.executor = core::LocalExecutor::Serial;
-      }
+      params.executor = lease.threads() > 1
+                            ? core::LocalExecutor::InPlacePool
+                            : core::LocalExecutor::Serial;
     }
     params.totalIterations = budget.iterations;
     params.traceInterval = traceEvery(budget);
@@ -503,7 +496,7 @@ const StrategyRegistry& StrategyRegistry::builtin() {
             }});
     r->add({"periodic", "§V-VII",
             "periodic partitioning (global/local phases)", "PeriodicReport",
-            "phase=N executor=auto|serial|pool|omp|split-serial "
+            "phase=N executor=auto|serial|pool|split-serial "
             "layout=cross|grid virtual-threads=N grid-x=X grid-y=X",
             [](const ExecResources& res, const OptionMap& opts) {
               return std::make_unique<PeriodicStrategy>("periodic", res, opts);

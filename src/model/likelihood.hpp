@@ -41,7 +41,7 @@ struct LikelihoodParams {
 /// img::forEachDiscSpan's) and sums each span with the vectorised kernels in
 /// model/likelihood_kernels.hpp; deltaReplace computes each disc's spans
 /// once and uses them both as that disc's spans and as the other's cuts. The kernels' fixed-lane accumulation makes every delta
-/// bit-reproducible across backends (scalar/omp-simd/AVX2) and machines —
+/// bit-reproducible across backends (scalar/AVX2) and machines —
 /// see the determinism policy in that header.
 class PixelLikelihood {
  public:

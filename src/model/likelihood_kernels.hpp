@@ -24,7 +24,7 @@ namespace mcmcpar::model::kernels {
 ///    double accumulators — element i of a span goes to lane (i % kLanes),
 ///    floats are widened to double (exact) before the add — and the lanes are
 ///    combined in the fixed order ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
-///  * Every backend (plain scalar, `#pragma omp simd`, AVX2 intrinsics)
+///  * Every backend (plain scalar loops, AVX2 intrinsics)
 ///    implements EXACTLY this arithmetic, so results are bit-identical across
 ///    backends and across machines by construction; vectorisation never needs
 ///    to be gated for reproducibility. test_likelihood_kernels asserts the
@@ -40,7 +40,7 @@ inline constexpr std::size_t kLanes = 8;
 
 /// Which implementation the span kernels dispatch to.
 enum class Backend {
-  Scalar,  ///< portable loops (auto/omp-simd vectorised when available)
+  Scalar,  ///< portable loops (auto-vectorised where the compiler can)
   Avx2,    ///< AVX2 intrinsics (x86-64, compiled in and CPU-supported only)
 };
 

@@ -25,9 +25,8 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.request_stop();
   taskReady_.notify_all();
   // Join here rather than in the jthread destructors: `workers_` is
-  // declared first, so its implicit join would run *after* mutex_ and the
-  // condition variables are destroyed — and a worker finishing its last
-  // task still notifies allDone_ on the way out (caught by TSan).
+  // declared first, so its implicit join would run *after* mutex_ and
+  // taskReady_ are destroyed while a worker may still wait on them.
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -37,14 +36,8 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     const std::lock_guard lock(mutex_);
     queue_.push(std::move(task));
-    ++inFlight_;
   }
   taskReady_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock lock(mutex_);
-  allDone_.wait(lock, [this] { return inFlight_ == 0; });
 }
 
 void ThreadPool::parallelFor(std::size_t n,
@@ -54,10 +47,9 @@ void ThreadPool::parallelFor(std::size_t n,
   std::exception_ptr firstError;
   std::mutex errorMutex;
 
-  // Per-call completion latch. parallelFor must not wait on the global
-  // inFlight_ count: a nested call from inside fn runs on a worker whose
-  // own enclosing task is still in flight, so waiting for inFlight_ == 0
-  // would deadlock.
+  // Per-call completion latch: a nested call from inside fn runs on a
+  // worker whose own enclosing task is still running, so the latch counts
+  // only this call's helpers.
   std::mutex doneMutex;
   std::condition_variable doneCv;
   std::size_t helpersLeft = 0;
@@ -89,7 +81,7 @@ void ThreadPool::parallelFor(std::size_t n,
   std::exception_ptr submitError;
   try {
     for (; submitted < helpers; ++submitted) {
-      submit([&] {
+      submit([&]() noexcept {
         body();
         // Notify under the lock: the caller can only observe
         // helpersLeft == 0 (and destroy the latch) after this wrapper
@@ -129,23 +121,6 @@ void ThreadPool::parallelFor(std::size_t n,
   if (submitError) std::rethrow_exception(submitError);
 }
 
-void ThreadPool::runTaskAndAccount(std::function<void()>& task) {
-  // The submit() contract: a fire-and-forget task that throws has no caller
-  // to land in — terminate deterministically rather than unwinding into a
-  // worker's jthread or an unrelated parallelFor (which would also leak
-  // inFlight_ and destroy the latch under running helpers).
-  try {
-    task();
-  } catch (...) {
-    std::terminate();
-  }
-  {
-    const std::lock_guard lock(mutex_);
-    --inFlight_;
-  }
-  allDone_.notify_all();
-}
-
 bool ThreadPool::runPendingTask() {
   std::function<void()> task;
   {
@@ -154,7 +129,7 @@ bool ThreadPool::runPendingTask() {
     task = std::move(queue_.front());
     queue_.pop();
   }
-  runTaskAndAccount(task);
+  task();
   return true;
 }
 
@@ -173,7 +148,7 @@ void ThreadPool::workerLoop(const std::stop_token& stop) {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    runTaskAndAccount(task);
+    task();
   }
 }
 

@@ -10,13 +10,13 @@
 
 namespace mcmcpar::par {
 
-/// A fixed-size worker pool executing submitted tasks FIFO.
+/// A fixed-size worker pool whose one operation is a blocking fork-join.
 ///
 /// Workers are std::jthread, so destruction joins automatically after the
-/// stop flag drains the queue. `parallelFor` is the blocking primitive the
-/// executors use: it runs fn(i) for i in [0, n) across the workers and the
-/// calling thread, returning when every index completed. Exceptions from
-/// tasks propagate out of parallelFor (first one wins).
+/// stop flag drains the queue. `parallelFor` runs fn(i) for i in [0, n)
+/// across the workers and the calling thread, returning when every index
+/// completed. Exceptions from fn propagate out of parallelFor (first one
+/// wins).
 class ThreadPool {
  public:
   /// Spawn `threads` workers (0 = hardware concurrency, at least 1).
@@ -30,15 +30,6 @@ class ThreadPool {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Enqueue a fire-and-forget task. The task must not throw: it has no
-  /// caller to receive an exception, so one escaping terminates the process
-  /// whether a worker or a queue-draining parallelFor caller runs it. Use
-  /// parallelFor for work whose exceptions must propagate.
-  void submit(std::function<void()> task);
-
-  /// Block until all tasks submitted so far have finished.
-  void wait();
-
   /// Run fn(i) for every i in [0, n), distributing dynamically (one index
   /// per task; appropriate for coarse tasks like MCMC partitions). Blocks.
   /// Reentrant: fn may itself call parallelFor on the same pool — the
@@ -49,10 +40,9 @@ class ThreadPool {
  private:
   void workerLoop(const std::stop_token& stop);
 
-  /// Run a dequeued task and settle the in-flight accounting; terminates if
-  /// the task throws (see the submit() contract). Shared by workerLoop and
-  /// runPendingTask so the execution protocol lives in one place.
-  void runTaskAndAccount(std::function<void()>& task);
+  /// Enqueue one of parallelFor's helper tasks. They are noexcept: each
+  /// catches fn's exceptions itself, so none escapes into a worker.
+  void submit(std::function<void()> task);
 
   /// Pop and run one queued task on the calling thread; false if the queue
   /// was empty. Used by parallelFor to help while waiting.
@@ -62,8 +52,6 @@ class ThreadPool {
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable taskReady_;
-  std::condition_variable allDone_;
-  std::size_t inFlight_ = 0;
   bool stopping_ = false;
 };
 

@@ -365,7 +365,6 @@ engine::RunReport Server::runSequenceJob(std::uint64_t id,
 
   engine::ExecResources resources;
   resources.threads = options_.threads;
-  resources.useOpenMp = options_.useOpenMp;
   resources.poolBudget = &budget_;
   resources.seed =
       spec.seed ? *spec.seed : engine::deriveJobSeed(options_.seed, id);
@@ -453,7 +452,6 @@ void Server::workerLoop(const std::stop_token& stop) {
       } else {
         engine::ExecResources resources;
         resources.threads = options_.threads;
-        resources.useOpenMp = options_.useOpenMp;
         resources.poolBudget = &budget_;
         resources.seed =
             spec->seed ? *spec->seed : engine::deriveJobSeed(options_.seed, id);

@@ -43,9 +43,6 @@ struct ServerOptions {
   /// Server master seed; jobs without @seed derive per-id seeds from it.
   std::uint64_t seed = 1;
 
-  /// Prefer OpenMP executors where strategies support it.
-  bool useOpenMp = false;
-
   /// Circle prior applied to every job (mirrors the mcmcpar_run knobs).
   double radius = 9.0;
 

@@ -10,12 +10,7 @@
 #include <thread>
 #include <vector>
 
-#if defined(MCMCPAR_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 #include "par/concurrency.hpp"
-#include "par/omp_support.hpp"
 #include "par/task_scheduler.hpp"
 #include "par/thread_pool.hpp"
 #include "par/virtual_clock.hpp"
@@ -177,16 +172,6 @@ TEST(PoolLease, ParallelForWorkersJoinAndExtrasReturnOnRelease) {
   EXPECT_EQ(lease.threads(), 1u);
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait();
-  EXPECT_EQ(counter.load(), 50);
-}
-
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(257);
@@ -261,31 +246,6 @@ TEST(ThreadPool, NestedParallelForPropagatesException) {
       std::runtime_error);
   // Every outer index still ran (exceptions are collected, not aborting).
   EXPECT_EQ(outerRuns.load(), 4);
-}
-
-TEST(ThreadPool, StolenSubmittedTaskKeepsAccounting) {
-  // The worker is parked in the blocker, so parallelFor's drain loop steals
-  // the queued fire-and-forget task and runs it on the caller. The
-  // in-flight accounting must stay balanced (or the later wait() hangs).
-  ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> stolen{0};
-  pool.submit([&] {
-    started.store(true);
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  while (!started.load()) std::this_thread::yield();
-  pool.submit([&] { stolen.fetch_add(1); });
-  pool.parallelFor(2, [](std::size_t) {});
-  EXPECT_EQ(stolen.load(), 1);
-  release.store(true);
-  pool.wait();
-  std::atomic<int> count{0};
-  pool.parallelFor(4, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 4);
 }
 
 TEST(ThreadPool, PoolUsableAfterException) {
@@ -377,43 +337,6 @@ TEST(WallTimer, NonNegativeElapsed) {
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(timer.seconds(), 0.0);
 }
-
-TEST(OmpSupport, ParallelForCoversIndices) {
-  std::vector<std::atomic<int>> hits(64);
-  ompParallelFor(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(OmpSupport, ReportsConfiguration) {
-#if defined(MCMCPAR_HAVE_OPENMP)
-  EXPECT_TRUE(ompAvailable());
-  EXPECT_GE(ompMaxThreads(), 1u);
-#else
-  EXPECT_FALSE(ompAvailable());
-  EXPECT_EQ(ompMaxThreads(), 1u);
-#endif
-}
-
-#if defined(MCMCPAR_HAVE_OPENMP)
-// The build claims OpenMP: ompAvailable() must agree, catching regressions
-// where the MCMCPAR_HAVE_OPENMP define silently drops out of the build and
-// LocalExecutor::InPlaceOmp degrades to serial.
-TEST(OmpSupport, BuildDefineImpliesRuntimeAvailability) {
-  EXPECT_TRUE(ompAvailable());
-}
-
-TEST(OmpSupport, ParallelForRunsInsideOmpRegion) {
-  // omp_get_level() > 0 inside the loop proves the pragma engaged instead
-  // of the serial fallback. (Unlike omp_in_parallel(), the level also
-  // counts regions the runtime made inactive, e.g. under OMP_THREAD_LIMIT=1
-  // on constrained machines.)
-  std::atomic<int> insideRegion{0};
-  ompParallelFor(
-      4, [&](std::size_t) { insideRegion.fetch_add(omp_get_level() > 0); },
-      2);
-  EXPECT_EQ(insideRegion.load(), 4);
-}
-#endif
 
 TEST(PoolBudgetBlocking, TryAcquireForWakesOnRelease) {
   PoolBudget budget(1);

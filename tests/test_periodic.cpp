@@ -105,7 +105,6 @@ TEST_P(ExecutorSweep, MoveMixMatchesQg) {
 INSTANTIATE_TEST_SUITE_P(Executors, ExecutorSweep,
                          ::testing::Values(LocalExecutor::Serial,
                                            LocalExecutor::InPlacePool,
-                                           LocalExecutor::InPlaceOmp,
                                            LocalExecutor::SplitMergeSerial));
 
 TEST(PeriodicSampler, SerialAndPoolAgreeExactly) {
@@ -119,20 +118,6 @@ TEST(PeriodicSampler, SerialAndPoolAgreeExactly) {
   par::PoolLease lease = threeThreads();
   PeriodicSampler sa(a.state, a.registry, ps, 7);
   PeriodicSampler sb(b.state, b.registry, pp, 7, &lease);
-  sa.run();
-  sb.run();
-  EXPECT_EQ(a.state.config().size(), b.state.config().size());
-  EXPECT_NEAR(a.state.logPosterior(), b.state.logPosterior(), 1e-6);
-}
-
-TEST(PeriodicSampler, SerialAndOmpAgreeExactly) {
-  Fixture a(4, 384), b(4, 384);
-  PeriodicParams ps = baseParams(LocalExecutor::Serial);
-  PeriodicParams po = baseParams(LocalExecutor::InPlaceOmp);
-  ps.margin = po.margin = 48.0;
-  par::PoolLease lease = threeThreads();
-  PeriodicSampler sa(a.state, a.registry, ps, 8);
-  PeriodicSampler sb(b.state, b.registry, po, 8, &lease);
   sa.run();
   sb.run();
   EXPECT_EQ(a.state.config().size(), b.state.config().size());

@@ -39,7 +39,7 @@ echo "== product paths =="
 (
   cd "$WORK"
   "$TOOLS/mcmcpar_run" --strategy all "${SCENE[@]}"
-  for executor in auto serial pool omp split-serial; do
+  for executor in auto serial pool split-serial; do
     "$TOOLS/mcmcpar_run" --strategy periodic --opt executor="$executor" \
       "${SCENE[@]}"
   done

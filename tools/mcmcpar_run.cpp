@@ -65,7 +65,6 @@ void printUsage() {
       "  --trace N           trace cadence (default: ~200 points)\n"
       "  --seed N            master seed (default: 1)\n"
       "  --threads N         worker threads, 0 = hardware (default: 0)\n"
-      "  --omp               prefer OpenMP executors where available\n"
       "  --width N/--height N/--cells N/--radius X  synthetic scene shape\n"
       "  --image FILE.pgm    run on a PGM image instead of a synthetic scene\n"
       "  --shard KxL|auto    run through the 'sharded' coordinator: split the\n"
@@ -120,8 +119,6 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
       cli.list = true;
     } else if (std::strcmp(arg, "--progress") == 0) {
       cli.progress = true;
-    } else if (std::strcmp(arg, "--omp") == 0) {
-      cli.resources.useOpenMp = true;
     } else if (std::strcmp(arg, "--help") == 0) {
       cli.help = true;
       return cli;
@@ -614,7 +611,6 @@ int main(int argc, char** argv) {
   options.maxConcurrentJobs = cli.maxJobs;
   options.defaultBudget = cli.budget;
   options.seed = cli.resources.seed;
-  options.useOpenMp = cli.resources.useOpenMp;
   options.radius = cli.radius;
   options.synthWidth = cli.width;
   options.synthHeight = cli.height;

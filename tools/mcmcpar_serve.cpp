@@ -79,7 +79,6 @@ void printUsage() {
       "  --iterations N      default per-job budget when a job line has no\n"
       "                      @iters directive (default: 20000)\n"
       "  --seed N            server master seed (default: 1)\n"
-      "  --omp               prefer OpenMP executors where available\n"
       "  --radius X          circle prior radius (default: 9.0)\n"
       "  --width N/--height N/--cells N  the 'synth' scene shape\n"
       "  --trace-out FILE    write a Chrome trace-event JSON timeline of\n"
@@ -110,8 +109,6 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
     if (std::strcmp(arg, "--help") == 0) {
       cli.help = true;
       return cli;
-    } else if (std::strcmp(arg, "--omp") == 0) {
-      cli.server.useOpenMp = true;
     } else if (std::strcmp(arg, "--listen") == 0) {
       if ((v = value(i)) == nullptr) return std::nullopt;
       cli.listenPort = u32(65535);
