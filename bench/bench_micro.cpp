@@ -448,6 +448,55 @@ void BM_SamplerStep512(benchmark::State& state) {
 }
 BENCHMARK(BM_SamplerStep512);
 
+// Gate pair for the deferred exact delta: both drive the case-study moves
+// from the same seed on the same warmed 374x374 tile of the §VII scene (a
+// shard-socket tile). BM_SamplerStepTile is Sampler::step(), which rejects
+// most proposals on their prefix-sum estimate; the reference refines every
+// proposal to its exact delta before deciding, which is the exact-delta
+// cost plus the estimate it discards. Both record Diagnostics, so they
+// time the same chain and differ only in the refinement.
+
+model::ModelState tileState(const mcmc::MoveRegistry& registry) {
+  static const img::Scene scene =
+      img::generateScene(img::cellScene(1024, 1024, 150, 10.0, 27));
+  model::PriorParams prior;
+  prior.expectedCount = 20.0;
+  model::ModelState s(scene.image.crop(325, 325, 374, 374), prior,
+                      model::LikelihoodParams{}, 325, 325);
+  rng::Stream init(28);
+  s.initialiseRandom(20, init);
+  mcmc::Sampler warm(s, registry, 29);
+  (void)warm.run(20000);
+  return s;
+}
+
+void BM_SamplerStepTileRef(benchmark::State& state) {
+  const mcmc::MoveRegistry registry = mcmc::MoveRegistry::caseStudy();
+  model::ModelState s = tileState(registry);
+  mcmc::Diagnostics diagnostics;
+  rng::Stream stream(30);
+  const mcmc::SelectionContext ctx{};
+  for (auto _ : state) {
+    const mcmc::Move& move = registry.sampleAny(stream);
+    mcmc::PendingMove pending = move.propose(s, ctx, stream);
+    mcmc::refine(s, pending);
+    const bool accepted = mcmc::acceptAndCommit(s, pending, stream);
+    diagnostics.record(move.name(), accepted);
+    benchmark::DoNotOptimize(accepted);
+  }
+}
+BENCHMARK(BM_SamplerStepTileRef);
+
+void BM_SamplerStepTile(benchmark::State& state) {
+  const mcmc::MoveRegistry registry = mcmc::MoveRegistry::caseStudy();
+  model::ModelState s = tileState(registry);
+  mcmc::Sampler sampler(s, registry, 30);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.step());
+  }
+}
+BENCHMARK(BM_SamplerStepTile);
+
 void BM_SubStateBuildMerge(benchmark::State& state) {
   model::ModelState s = microState(512, 60, 21);
   const int half = 256;

@@ -44,24 +44,16 @@ SessionResult runLocalSessionShared(model::ModelState& state,
 
   for (std::uint64_t i = 0; i < iterations; ++i) {
     const mcmc::Move& move = registry.sampleLocal(stream);
-    const mcmc::PendingMove pending = move.propose(state, ctx, stream);
-    bool accepted = false;
-    if (pending.valid()) {
-      assert(pending.op == mcmc::PendingMove::Op::Replace &&
-             "local moves must be dimension-preserving replaces");
-      bool take = pending.logAlpha >= 0.0;
-      if (!take) {
-        const double u = stream.uniform();
-        take = u > 0.0 && std::log(u) < pending.logAlpha;
-      }
-      if (take) {
-        double delta = lik.applyRemove(cfg.get(pending.id0));
-        delta += lik.applyAdd(pending.c0);
-        result.coveredGainDelta += delta;
-        result.logPostDelta += pending.logPosteriorDelta;
-        cfg.replace(pending.id0, pending.c0);
-        accepted = true;
-      }
+    mcmc::PendingMove pending = move.propose(state, ctx, stream);
+    assert((!pending.valid() || pending.op == mcmc::PendingMove::Op::Replace) &&
+           "local moves must be dimension-preserving replaces");
+    const bool accepted = mcmc::decideMove(state, pending, stream);
+    if (accepted) {
+      double delta = lik.applyRemove(cfg.get(pending.id0));
+      delta += lik.applyAdd(pending.c0);
+      result.coveredGainDelta += delta;
+      result.logPostDelta += pending.logPosteriorDelta;
+      cfg.replace(pending.id0, pending.c0);
     }
     result.diagnostics.record(move.name(), accepted);
   }

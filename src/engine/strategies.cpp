@@ -453,22 +453,14 @@ class PipelineStrategy final : public StrategyBase {
       }
     }
     report.acceptanceRate = report.diagnostics.aggregate().acceptanceRate();
-    report.logPosterior = mergedLogPosterior(pipeline.merged);
+    report.logPosterior = model::scoreConfiguration(
+        *problem_.filtered, prior_, problem_.likelihood, pipeline.merged);
     // Last read of `pipeline` above — avoid copying the partition runs.
     report.extras = std::move(pipeline);
     return report;
   }
 
  private:
-  /// Whole-image log posterior of the recombined model (the per-partition
-  /// values are not comparable across strategies).
-  [[nodiscard]] double mergedLogPosterior(
-      const std::vector<model::Circle>& merged) const {
-    model::ModelState state(*problem_.filtered, prior_, problem_.likelihood);
-    for (const model::Circle& circle : merged) state.commitAdd(circle);
-    return state.logPosterior();
-  }
-
   core::PipelineParams params_;
   bool blind_;
 };

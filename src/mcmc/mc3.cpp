@@ -9,12 +9,7 @@ bool temperedStep(model::ModelState& state, const MoveRegistry& registry,
                   double beta, rng::Stream& stream, Diagnostics* diagnostics) {
   const Move& move = registry.sampleAny(stream);
   PendingMove pending = move.propose(state, {}, stream);
-  if (pending.valid()) {
-    // Temper only the posterior part; proposal ratios and Jacobians belong
-    // to the transition kernel, not to the target density.
-    const double remainder = pending.logAlpha - pending.logPosteriorDelta;
-    pending.logAlpha = beta * pending.logPosteriorDelta + remainder;
-  }
+  if (pending.valid()) temper(pending, beta);
   const bool accepted = acceptAndCommit(state, pending, stream);
   if (diagnostics != nullptr) diagnostics->record(move.name(), accepted);
   return accepted;
@@ -45,9 +40,11 @@ struct Mc3Sampler::Impl {
     // A zero interval would make run()'s step = min(0, remaining) spin.
     params.swapInterval = std::max<std::uint64_t>(params.swapInterval, 1);
     const rng::Stream root(seed);
+    // Every chain starts as a copy of one empty state, so the chains share
+    // its likelihood's prefix table rather than each building one.
+    const model::ModelState empty(filtered, prior, likelihood);
     for (unsigned k = 0; k < params.chains; ++k) {
-      chains.push_back(
-          std::make_unique<model::ModelState>(filtered, prior, likelihood));
+      chains.push_back(std::make_unique<model::ModelState>(empty));
       streams.push_back(root.derive(k + 1));
       chains.back()->initialiseRandom(initialCircles, streams.back());
       betas.push_back(1.0 / (1.0 + k * params.heatStep));

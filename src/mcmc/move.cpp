@@ -1,7 +1,9 @@
 #include "mcmc/move.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace mcmcpar::mcmc {
 
@@ -13,7 +15,98 @@ double RegionConstraint::maxRadiusAt(double x, double y) const noexcept {
   return std::min(dx, dy);
 }
 
+void setPosteriorDelta(PendingMove& pending,
+                       const model::ModelState::DeltaEstimate& delta,
+                       double logQRev, double logQFwd) noexcept {
+  pending.logPosteriorDelta = delta.delta;
+  pending.estimated = delta.estimated;
+  pending.deltaError = delta.error;
+  pending.logQRev = logQRev;
+  pending.logQFwd = logQFwd;
+  pending.logAlpha = pending.logPosteriorDelta + logQRev - logQFwd;
+}
+
+void temper(PendingMove& pending, double beta) noexcept {
+  const double remainder = pending.logAlpha - pending.logPosteriorDelta;
+  pending.logAlpha = beta * pending.logPosteriorDelta + remainder;
+  pending.beta = beta;
+}
+
+double logAlphaError(const PendingMove& pending) noexcept {
+  // First-order error propagation with u = eps/2: logAlpha's two additions
+  // round by at most u times their magnitudes on each path, the tempering's
+  // product, difference and sum likewise, and each path's inputs differ by
+  // deltaError (by the untempered bound for the remainder). Every rounding
+  // term is doubled, which also absorbs the second-order ones.
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  const double scale = std::fabs(pending.logPosteriorDelta) +
+                       pending.deltaError + std::fabs(pending.logQRev) +
+                       std::fabs(pending.logQFwd);
+  const double error = pending.deltaError + 2.0 * kEps * scale;
+  if (!pending.beta) return error;
+  const double beta = std::fabs(*pending.beta);
+  return beta * pending.deltaError + 2.0 * error +
+         2.0 * kEps * (beta + 3.0) * scale;
+}
+
+void refine(const model::ModelState& state, PendingMove& pending) {
+  if (!pending.estimated) return;
+  using Op = PendingMove::Op;
+  double exact = 0.0;
+  switch (pending.op) {
+    case Op::Add:
+      exact = state.deltaAdd(pending.c0);
+      break;
+    case Op::Delete:
+      exact = state.deltaDelete(pending.id0);
+      break;
+    case Op::Replace:
+      exact = state.deltaReplace(pending.id0, pending.c0);
+      break;
+    case Op::Merge:
+    case Op::Split:
+    case Op::None:
+      assert(false && "only add, delete and replace proposals are estimated");
+      return;
+  }
+  const std::optional<double> beta = pending.beta;
+  setPosteriorDelta(pending, model::ModelState::DeltaEstimate{exact, 0.0, false},
+                    pending.logQRev, pending.logQFwd);
+  if (beta) temper(pending, *beta);
+}
+
+bool decideMove(const model::ModelState& state, PendingMove& pending,
+                rng::Stream& stream) {
+  if (!pending.valid()) return false;
+  if (pending.estimated) {
+    const double upper = pending.logAlpha + logAlphaError(pending);
+    if (upper < 0.0) {
+      // The exact logAlpha <= upper < 0 draws this same u, and rejects
+      // whenever log u >= upper.
+      const double u = stream.uniform();
+      if (u <= 0.0) return false;
+      const double logU = std::log(u);
+      if (logU >= upper) return false;
+      refine(state, pending);
+      return logU < pending.logAlpha;
+    }
+    refine(state, pending);
+  }
+  // alpha >= 1 accepts unconditionally; otherwise accept with prob alpha.
+  if (pending.logAlpha < 0.0) {
+    const double u = stream.uniform();
+    if (u <= 0.0 || std::log(u) >= pending.logAlpha) return false;
+  }
+  return true;
+}
+
 void commitPending(model::ModelState& state, const PendingMove& pending) {
+  if (pending.estimated) {
+    PendingMove exact = pending;
+    refine(state, exact);
+    commitPending(state, exact);
+    return;
+  }
   // Apply through the raw likelihood/configuration operations using the
   // pre-evaluated posterior delta; the convenience ModelState::commit*
   // methods would re-evaluate the delta a second time.
@@ -56,14 +149,9 @@ void commitPending(model::ModelState& state, const PendingMove& pending) {
   }
 }
 
-bool acceptAndCommit(model::ModelState& state, const PendingMove& pending,
+bool acceptAndCommit(model::ModelState& state, PendingMove pending,
                      rng::Stream& stream) {
-  if (!pending.valid()) return false;
-  // alpha >= 1 accepts unconditionally; otherwise accept with prob alpha.
-  if (pending.logAlpha < 0.0) {
-    const double u = stream.uniform();
-    if (u <= 0.0 || std::log(u) >= pending.logAlpha) return false;
-  }
+  if (!decideMove(state, pending, stream)) return false;
   commitPending(state, pending);
   return true;
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "model/posterior.hpp"
@@ -61,6 +62,14 @@ struct SelectionContext {
 ///
 /// Proposals are evaluated read-only against the current state (this is what
 /// makes speculative execution possible, §IV/[11]) and committed separately.
+///
+/// Deferred exact deltas: add, delete and the replace-type moves may carry
+/// an estimated posterior delta (ModelState::estimate*, exact whenever a
+/// disc they change shares a pixel with another). decideMove settles most
+/// rejections on the estimate and its error bound, and refines to the exact
+/// delta before every acceptance and every close call, so a chain's draws,
+/// decisions and committed deltas are the exact path's, bit for bit. Split
+/// and merge are always exact.
 struct PendingMove {
   enum class Op : std::uint8_t { None, Add, Delete, Replace, Merge, Split };
 
@@ -73,6 +82,17 @@ struct PendingMove {
   /// re-evaluating, and the in-place parallel executor accumulates it
   /// thread-locally.
   double logPosteriorDelta = 0.0;
+  /// True while logPosteriorDelta is an estimate:
+  /// |logPosteriorDelta - exact| <= deltaError.
+  bool estimated = false;
+  double deltaError = 0.0;
+  /// The proposal terms of logAlpha = ((logPosteriorDelta + logQRev) -
+  /// logQFwd), kept so refinement rebuilds it with the same expression
+  /// (add, delete and replace-type moves only).
+  double logQRev = 0.0;
+  double logQFwd = 0.0;
+  /// The inverse temperature mc3 tempered logAlpha with, if any.
+  std::optional<double> beta;
   model::CircleId id0 = model::kInvalidCircle;
   model::CircleId id1 = model::kInvalidCircle;
   model::Circle c0;
@@ -100,12 +120,41 @@ class Move {
                                             rng::Stream& stream) const = 0;
 };
 
-/// Commit an accepted proposal to the state. Precondition: pending.valid().
+/// Set a proposal's posterior delta from `delta` and its logAlpha to
+/// ((delta + logQRev) - logQFwd).
+void setPosteriorDelta(PendingMove& pending,
+                       const model::ModelState::DeltaEstimate& delta,
+                       double logQRev, double logQFwd) noexcept;
+
+/// Temper the posterior part of logAlpha by `beta` (mc3): proposal ratios
+/// and Jacobians belong to the transition kernel, not to the target.
+void temper(PendingMove& pending, double beta) noexcept;
+
+/// Bound on |logAlpha - exact logAlpha| for an estimated proposal, covering
+/// the delta's error and the rounding of logAlpha's (and tempering's)
+/// additions.
+[[nodiscard]] double logAlphaError(const PendingMove& pending) noexcept;
+
+/// Replace an estimated delta by the exact ModelState::delta* value and
+/// rebuild logAlpha (and its tempering) with the move's own expression: the
+/// exact path's bits. No-op for an exact proposal.
+void refine(const model::ModelState& state, PendingMove& pending);
+
+/// The MH accept/reject decision, the one every executor uses. Draws the
+/// uniform exactly when the exact path would (logAlpha < 0). An estimated
+/// proposal is rejected without further work when log u clears its upper
+/// bound logAlpha + logAlphaError; otherwise, and before every acceptance,
+/// it is refined first. Returns true to accept; `pending` is then exact.
+[[nodiscard]] bool decideMove(const model::ModelState& state,
+                              PendingMove& pending, rng::Stream& stream);
+
+/// Commit an accepted proposal to the state (an estimated one is refined
+/// first). Precondition: pending.valid().
 void commitPending(model::ModelState& state, const PendingMove& pending);
 
-/// Draw the MH accept/reject coin for `pending` and commit on acceptance.
-/// Returns true when the state changed.
-bool acceptAndCommit(model::ModelState& state, const PendingMove& pending,
+/// decideMove, then commitPending on acceptance. Returns true when the
+/// state changed.
+bool acceptAndCommit(model::ModelState& state, PendingMove pending,
                      rng::Stream& stream);
 
 /// Uniformly pick a circle id from the selection context (candidate list or

@@ -71,8 +71,7 @@ PendingMove AddMove::propose(const model::ModelState& state,
   PendingMove pending;
   pending.op = PendingMove::Op::Add;
   pending.c0 = draw.circle;
-  pending.logPosteriorDelta = state.deltaAdd(draw.circle);
-  pending.logAlpha = pending.logPosteriorDelta + logQRev - logQFwd;
+  setPosteriorDelta(pending, state.estimateAdd(draw.circle), logQRev, logQFwd);
   return pending;
 }
 
@@ -95,8 +94,7 @@ PendingMove DeleteMove::propose(const model::ModelState& state,
   PendingMove pending;
   pending.op = PendingMove::Op::Delete;
   pending.id0 = id;
-  pending.logPosteriorDelta = state.deltaDelete(id);
-  pending.logAlpha = pending.logPosteriorDelta + logQRev - logQFwd;
+  setPosteriorDelta(pending, state.estimateDelete(id), logQRev, logQFwd);
   return pending;
 }
 
@@ -122,8 +120,8 @@ PendingMove ReplaceMove::propose(const model::ModelState& state,
   pending.op = PendingMove::Op::Replace;
   pending.id0 = id;
   pending.c0 = draw.circle;
-  pending.logPosteriorDelta = state.deltaReplace(id, draw.circle);
-  pending.logAlpha = pending.logPosteriorDelta + logQRev - logQFwd;
+  setPosteriorDelta(pending, state.estimateReplace(id, draw.circle), logQRev,
+                    logQFwd);
   return pending;
 }
 

@@ -38,8 +38,7 @@ PendingMove MoveCentreMove::propose(const model::ModelState& state,
   pending.op = PendingMove::Op::Replace;
   pending.id0 = id;
   pending.c0 = moved;
-  pending.logPosteriorDelta = state.deltaReplace(id, moved);
-  pending.logAlpha = pending.logPosteriorDelta + logQRev - logQFwd;
+  setPosteriorDelta(pending, state.estimateReplace(id, moved), logQRev, logQFwd);
   return pending;
 }
 
@@ -70,8 +69,8 @@ PendingMove ResizeMove::propose(const model::ModelState& state,
   pending.op = PendingMove::Op::Replace;
   pending.id0 = id;
   pending.c0 = resized;
-  pending.logPosteriorDelta = state.deltaReplace(id, resized);
-  pending.logAlpha = pending.logPosteriorDelta + logQRev - logQFwd;
+  setPosteriorDelta(pending, state.estimateReplace(id, resized), logQRev,
+                    logQFwd);
   return pending;
 }
 

@@ -1,6 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -43,6 +46,16 @@ struct LikelihoodParams {
 /// once and uses them both as that disc's spans and as the other's cuts. The kernels' fixed-lane accumulation makes every delta
 /// bit-reproducible across backends (scalar/AVX2) and machines —
 /// see the determinism policy in that header.
+///
+/// Estimates: a disc that shares no pixel with another applied disc has a
+/// delta equal to the plain sum of the gains under it, which the
+/// `estimate*` methods read from an immutable table of per-row prefix sums
+/// in O(rows), with a rigorous bound on the distance to the exact delta's
+/// bits. The table is built on the first estimate (std::call_once, so
+/// concurrent const callers are safe) and shared by copies and crops, whose
+/// gains are the same values: a crop reads its window of its parent's table
+/// (cropping builds it), so split/merge phases never build one per crop. A
+/// likelihood that is only scored never builds it.
 class PixelLikelihood {
  public:
   PixelLikelihood() = default;
@@ -94,6 +107,33 @@ class PixelLikelihood {
   [[nodiscard]] double deltaMultiple(std::span<const Circle> removed,
                                      std::span<const Circle> added) const noexcept;
 
+  // --- prefix-sum estimates -----------------------------------------------
+
+  /// An estimate of a move's covered-gain delta: |delta - exact| <= error,
+  /// where exact is the value the matching delta* method returns, bit for
+  /// bit. The bound covers the prefix rows' recursive-summation error, the
+  /// rounding of the estimate's row fold and of the exact kernels' fold.
+  struct Estimate {
+    double delta = 0.0;
+    double error = 0.0;
+  };
+
+  /// deltaAdd(c), valid when no applied disc covers a pixel of c.
+  [[nodiscard]] Estimate estimateAdd(const Circle& c) const;
+
+  /// deltaRemove(c), valid when c is applied and no other applied disc
+  /// covers a pixel of it.
+  [[nodiscard]] Estimate estimateRemove(const Circle& c) const;
+
+  /// deltaReplace(oldC, newC), valid when oldC is applied and no other
+  /// applied disc covers a pixel of either disc (the two may overlap).
+  [[nodiscard]] Estimate estimateReplace(const Circle& oldC,
+                                         const Circle& newC) const;
+
+  /// True once the prefix table is built (tests: scored-only likelihoods
+  /// must never build it).
+  [[nodiscard]] bool prefixTableBuilt() const noexcept;
+
   // --- mutation ------------------------------------------------------------
 
   /// Increment coverage under c; returns the covered-gain delta.
@@ -133,6 +173,30 @@ class PixelLikelihood {
   }
 
  private:
+  /// Per-row prefix sums of the gain raster of the likelihood that built
+  /// it (row y holds width+1 doubles, the k-th the recursive sum of the
+  /// row's first k gains) and each row's sum of |gain|, which scales the
+  /// estimates' error bounds.
+  struct PrefixTable {
+    std::once_flag once;
+    std::atomic<bool> built{false};
+    int width = 0;
+    std::vector<double> sums;
+    std::vector<double> rowAbs;
+  };
+  /// Sum of the gains under one disc from the prefix table.
+  struct DiscSum {
+    double sum = 0.0;
+    double rowAbs = 0.0;  // sum of rowAbs over the disc's rows
+    int rows = 0;
+  };
+
+  [[nodiscard]] const PrefixTable& prefixTable() const;
+  [[nodiscard]] DiscSum discSum(const PrefixTable& table,
+                                const Circle& c) const noexcept;
+  [[nodiscard]] static double estimateError(int width, int rows,
+                                            double rowAbs) noexcept;
+
   LikelihoodParams params_;
   int originX_ = 0;
   int originY_ = 0;
@@ -141,6 +205,9 @@ class PixelLikelihood {
   double constTerm_ = 0.0;             // sum of background log-densities
   double coveredGain_ = 0.0;
   double initialCoveredGain_ = 0.0;    // value at construction (crops)
+  std::shared_ptr<PrefixTable> prefix_ = std::make_shared<PrefixTable>();
+  int prefixX_ = 0;  // this raster's offset in prefix_'s raster (crops)
+  int prefixY_ = 0;
 };
 
 }  // namespace mcmcpar::model

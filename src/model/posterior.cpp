@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <limits>
 
 namespace mcmcpar::model {
 
@@ -48,7 +50,9 @@ ModelState::ModelState(PixelLikelihood likelihood, const PriorParams& prior)
 
 double ModelState::recomputeLogPosterior() const {
   const auto circles = config_.snapshot();
-  const double coveredGain = likelihood_.referenceCoveredGain(circles);
+  // No circles cover nothing: the reference sum would add a +0.0 per row.
+  const double coveredGain =
+      circles.empty() ? 0.0 : likelihood_.referenceCoveredGain(circles);
   const double logLik =
       likelihood_.logLikelihood() - likelihood_.coveredGain() + coveredGain;
   return prior_.logPrior(config_) + logLik;
@@ -86,6 +90,49 @@ double ModelState::deltaSplit(CircleId id, const Circle& c1,
   const std::array<Circle, 2> added{c1, c2};
   return prior_.deltaSplit(config_, id, c1, c2) +
          likelihood_.deltaMultiple(removed, added);
+}
+
+namespace {
+
+/// Fold the exact prior delta into a likelihood estimate. The exact path
+/// computes prior + exactLik, so the two sums differ by at most the
+/// likelihood bound plus one rounding of each.
+ModelState::DeltaEstimate withPrior(double prior,
+                                    PixelLikelihood::Estimate lik) noexcept {
+  const double delta = prior + lik.delta;
+  const double rounding = std::numeric_limits<double>::epsilon() *
+                          (std::fabs(prior) + std::fabs(lik.delta) + lik.error);
+  return {delta, lik.error + rounding, true};
+}
+
+}  // namespace
+
+ModelState::DeltaEstimate ModelState::estimateAdd(const Circle& c) const {
+  bool clear = false;
+  const double prior = prior_.deltaAdd(config_, c, &clear);
+  if (!clear || !std::isfinite(prior)) {
+    return {prior + likelihood_.deltaAdd(c), 0.0, false};
+  }
+  return withPrior(prior, likelihood_.estimateAdd(c));
+}
+
+ModelState::DeltaEstimate ModelState::estimateDelete(CircleId id) const {
+  bool clear = false;
+  const double prior = prior_.deltaDelete(config_, id, &clear);
+  if (!clear || !std::isfinite(prior)) {
+    return {prior + likelihood_.deltaRemove(config_.get(id)), 0.0, false};
+  }
+  return withPrior(prior, likelihood_.estimateRemove(config_.get(id)));
+}
+
+ModelState::DeltaEstimate ModelState::estimateReplace(CircleId id,
+                                                      const Circle& c) const {
+  bool clear = false;
+  const double prior = prior_.deltaReplace(config_, id, c, &clear);
+  if (!clear || !std::isfinite(prior)) {
+    return {prior + likelihood_.deltaReplace(config_.get(id), c), 0.0, false};
+  }
+  return withPrior(prior, likelihood_.estimateReplace(config_.get(id), c));
 }
 
 CircleId ModelState::commitAdd(const Circle& c) {
@@ -142,6 +189,14 @@ void ModelState::initialiseRandom(std::size_t count, rng::Stream& stream) {
     c.y = stream.uniform(bounds_.y0 + c.r, bounds_.y1 - c.r);
     commitAdd(c);
   }
+}
+
+double scoreConfiguration(const img::ImageF& filtered, const PriorParams& prior,
+                          const LikelihoodParams& likelihood,
+                          std::span<const Circle> circles) {
+  ModelState state(filtered, prior, likelihood);
+  for (const Circle& circle : circles) state.commitAdd(circle);
+  return state.logPosterior();
 }
 
 }  // namespace mcmcpar::model

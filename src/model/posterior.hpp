@@ -81,6 +81,26 @@ class ModelState {
   [[nodiscard]] double deltaSplit(CircleId id, const Circle& c1,
                                   const Circle& c2) const;
 
+  // --- deferred evaluation (Delta log-posterior estimates) -----------------
+  // When the discs a move changes share no pixel with any other alive disc
+  // (the prior's neighbour scan tells, at no extra query), the likelihood
+  // part is a plain sum of gains, read from the likelihood's prefix table
+  // in O(rows). Otherwise the value is the exact delta* one.
+
+  /// A Delta log-posterior and a bound on its distance from the matching
+  /// delta*() value's bits: |delta - exact| <= error. `estimated` is false
+  /// (and error 0) when delta IS the exact value.
+  struct DeltaEstimate {
+    double delta = 0.0;
+    double error = 0.0;
+    bool estimated = false;
+  };
+
+  [[nodiscard]] DeltaEstimate estimateAdd(const Circle& c) const;
+  [[nodiscard]] DeltaEstimate estimateDelete(CircleId id) const;
+  [[nodiscard]] DeltaEstimate estimateReplace(CircleId id,
+                                              const Circle& c) const;
+
   // --- commits --------------------------------------------------------------
 
   CircleId commitAdd(const Circle& c);
@@ -128,5 +148,14 @@ class ModelState {
   Configuration config_;
   double logPosterior_ = 0.0;
 };
+
+/// Whole-image log posterior of `circles` over `filtered`: a fresh state
+/// with every circle committed in order (the shard merge and the partition
+/// pipelines score their stitched models with it). Exact deltas only, so
+/// no prefix table is ever built.
+[[nodiscard]] double scoreConfiguration(const img::ImageF& filtered,
+                                        const PriorParams& prior,
+                                        const LikelihoodParams& likelihood,
+                                        std::span<const Circle> circles);
 
 }  // namespace mcmcpar::model

@@ -35,14 +35,26 @@ double CirclePrior::pairPenalty(const Circle& a, const Circle& b) const noexcept
 
 double CirclePrior::penaltyAgainstAll(const Configuration& config,
                                       const Circle& c, CircleId excludeA,
-                                      CircleId excludeB) const {
+                                      CircleId excludeB, bool* clear) const {
   double total = 0.0;
+  bool isClear = true;
   // A partner can intersect c only if its centre is within c.r + radiusMax.
+  // The scan reaches kPixelShareSlack further for the pixel-share test: the
+  // grid walks the wider scan's cells in the same row-major order and the
+  // range test below is forEachNeighbour's own, so the in-range partners
+  // are summed in the order a scan of `range` alone would give.
   const double range = c.r + params_.radiusMax;
-  config.forEachNeighbour(c.x, c.y, range, [&](CircleId id, const Circle& other) {
-    if (id == excludeA || id == excludeB) return;
-    total += pairPenalty(c, other);
-  });
+  config.forEachNeighbour(
+      c.x, c.y, range + kPixelShareSlack, [&](CircleId id, const Circle& other) {
+        if (id == excludeA || id == excludeB) return;
+        const double dx = other.x - c.x;
+        const double dy = other.y - c.y;
+        const double dist2 = dx * dx + dy * dy;
+        const double touch = c.r + other.r + kPixelShareSlack;
+        if (dist2 <= touch * touch) isClear = false;
+        if (dist2 <= range * range) total += pairPenalty(c, other);
+      });
+  if (clear != nullptr) *clear = isClear;
   return total;
 }
 
@@ -62,25 +74,32 @@ double CirclePrior::logPrior(const Configuration& config) const {
   return total;
 }
 
-double CirclePrior::deltaAdd(const Configuration& config, const Circle& c) const {
+double CirclePrior::deltaAdd(const Configuration& config, const Circle& c,
+                             bool* clear) const {
   const std::size_t n = config.size();
   return (logCount(n + 1) - logCount(n)) + logRadius(c.r) + logPosition() +
-         penaltyAgainstAll(config, c);
+         penaltyAgainstAll(config, c, kInvalidCircle, kInvalidCircle, clear);
 }
 
-double CirclePrior::deltaDelete(const Configuration& config, CircleId id) const {
+double CirclePrior::deltaDelete(const Configuration& config, CircleId id,
+                                bool* clear) const {
   const std::size_t n = config.size();
   const Circle& c = config.get(id);
   return (logCount(n - 1) - logCount(n)) - logRadius(c.r) - logPosition() -
-         penaltyAgainstAll(config, c, id);
+         penaltyAgainstAll(config, c, id, kInvalidCircle, clear);
 }
 
 double CirclePrior::deltaReplace(const Configuration& config, CircleId id,
-                                 const Circle& replacement) const {
+                                 const Circle& replacement, bool* clear) const {
   const Circle& old = config.get(id);
-  return (logRadius(replacement.r) - logRadius(old.r)) +
-         (penaltyAgainstAll(config, replacement, id) -
-          penaltyAgainstAll(config, old, id));
+  bool newClear = false;
+  bool oldClear = false;
+  const double delta =
+      (logRadius(replacement.r) - logRadius(old.r)) +
+      (penaltyAgainstAll(config, replacement, id, kInvalidCircle, &newClear) -
+       penaltyAgainstAll(config, old, id, kInvalidCircle, &oldClear));
+  if (clear != nullptr) *clear = newClear && oldClear;
+  return delta;
 }
 
 double CirclePrior::deltaMerge(const Configuration& config, CircleId a,

@@ -22,6 +22,12 @@ struct PriorParams {
   double overlapPenalty = 10.0;
 };
 
+/// Centre-distance slack of the "no shared pixel" test: two discs can share
+/// a pixel (img::pixelInDisc) only if their centres lie within r1 + r2 plus
+/// the rounding of that test, a few ulps of the coordinates, which stays
+/// far below this for any raster an int can index.
+inline constexpr double kPixelShareSlack = 1e-3;
+
 /// Log-prior of a configuration and cheap deltas for every move type.
 ///
 /// log p(config) = logPoisson(n; lambda)
@@ -72,20 +78,32 @@ class CirclePrior {
 
   /// Sum of pair penalties between `c` and all alive circles except
   /// `excludeA`/`excludeB` (pass kInvalidCircle for no exclusion).
+  ///
+  /// With `clear` set, the same neighbour scan also reports whether no
+  /// included circle can share a raster pixel with c: *clear becomes false
+  /// when some centre lies within c.r + other.r + kPixelShareSlack. That
+  /// needs alive radii in [radiusMin, radiusMax], as every insertion path
+  /// (proposals, random and warm starts) guarantees.
   [[nodiscard]] double penaltyAgainstAll(
       const Configuration& config, const Circle& c,
       CircleId excludeA = kInvalidCircle,
-      CircleId excludeB = kInvalidCircle) const;
+      CircleId excludeB = kInvalidCircle, bool* clear = nullptr) const;
 
   /// Full recompute, O(n * neighbours).
   [[nodiscard]] double logPrior(const Configuration& config) const;
 
   // --- exact deltas -------------------------------------------------------
+  // With `clear` set, add, delete and replace also report whether the discs
+  // they change share no pixel with any other alive disc (see
+  // penaltyAgainstAll); the delta is the same either way.
 
-  [[nodiscard]] double deltaAdd(const Configuration& config, const Circle& c) const;
-  [[nodiscard]] double deltaDelete(const Configuration& config, CircleId id) const;
+  [[nodiscard]] double deltaAdd(const Configuration& config, const Circle& c,
+                                bool* clear = nullptr) const;
+  [[nodiscard]] double deltaDelete(const Configuration& config, CircleId id,
+                                   bool* clear = nullptr) const;
   [[nodiscard]] double deltaReplace(const Configuration& config, CircleId id,
-                                    const Circle& replacement) const;
+                                    const Circle& replacement,
+                                    bool* clear = nullptr) const;
   /// a and b merge into m (count n -> n-1).
   [[nodiscard]] double deltaMerge(const Configuration& config, CircleId a,
                                   CircleId b, const Circle& m) const;

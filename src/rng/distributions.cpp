@@ -8,7 +8,6 @@ namespace mcmcpar::rng {
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr double kLogSqrt2Pi = 0.9189385332046727;  // log(sqrt(2*pi))
 
 double normalCdf(double z) noexcept {
   return 0.5 * std::erfc(-z / std::numbers::sqrt2);
@@ -60,8 +59,10 @@ double truncatedNormal(Stream& s, double mu, double sigma, double lo,
 double logTruncatedNormalPdf(double x, double mu, double sigma, double lo,
                              double hi) noexcept {
   if (x < lo || x > hi || hi <= lo) return kNegInf;
-  const double mass =
-      normalCdf((hi - mu) / sigma) - normalCdf((lo - mu) / sigma);
+  const double zHi = (hi - mu) / sigma;
+  const double zLo = (lo - mu) / sigma;
+  if (zHi >= kMassOneZ && zLo <= -kMassOneZ) return logNormalPdf(x, mu, sigma);
+  const double mass = normalCdf(zHi) - normalCdf(zLo);
   if (mass <= 0.0) return kNegInf;
   return logNormalPdf(x, mu, sigma) - std::log(mass);
 }

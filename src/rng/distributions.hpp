@@ -16,7 +16,11 @@ namespace mcmcpar::rng {
 /// routes through lgamma_r there and std::lgamma elsewhere.
 [[nodiscard]] double logGamma(double x) noexcept;
 
-/// log N(x; mu, sigma). Precondition: sigma > 0.
+/// log(sqrt(2 * pi)), the normal density's constant term.
+inline constexpr double kLogSqrt2Pi = 0.9189385332046727;
+
+/// log N(x; mu, sigma) = -0.5 * z * z - log(sigma) - kLogSqrt2Pi with
+/// z = (x - mu) / sigma. Precondition: sigma > 0.
 [[nodiscard]] double logNormalPdf(double x, double mu, double sigma) noexcept;
 
 /// log of the Poisson pmf P(k; mean). Returns -inf for mean <= 0 unless k==0.
@@ -30,7 +34,16 @@ namespace mcmcpar::rng {
 [[nodiscard]] double truncatedNormal(Stream& s, double mu, double sigma,
                                      double lo, double hi) noexcept;
 
+/// Standardised distance beyond which a truncation bound removes no mass
+/// in double precision: with (hi - mu) / sigma >= kMassOneZ and
+/// (lo - mu) / sigma <= -kMassOneZ, the computed normal mass on [lo, hi] is
+/// exactly 1.0 (test_rng sweeps this identity on the platform it runs on).
+inline constexpr double kMassOneZ = 9.0;
+
 /// log density of the truncated normal above (normalised on [lo, hi]).
+/// When both bounds lie kMassOneZ or more standard deviations from mu the
+/// normaliser log(1.0) == 0 is skipped: the value is logNormalPdf's, bit for
+/// bit, without the two erfc calls.
 [[nodiscard]] double logTruncatedNormalPdf(double x, double mu, double sigma,
                                            double lo, double hi) noexcept;
 

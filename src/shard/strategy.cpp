@@ -696,11 +696,8 @@ class ShardStrategy final : public engine::Strategy {
             : weightedAcceptance / static_cast<double>(report.iterations);
     // Whole-image log posterior of the stitched model, comparable with an
     // unsharded run of the same problem (tile-local values are not).
-    model::ModelState merged(*problem_.filtered, prior_, problem_.likelihood);
-    for (const model::Circle& circle : stitched.circles) {
-      merged.commitAdd(circle);
-    }
-    report.logPosterior = merged.logPosterior();
+    report.logPosterior = model::scoreConfiguration(
+        *problem_.filtered, prior_, problem_.likelihood, stitched.circles);
     report.circles = stitched.circles;
     report.threadsUsed = result.threadsUsed;
 

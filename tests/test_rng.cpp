@@ -2,8 +2,11 @@
 
 #include <array>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <numbers>
 #include <set>
+#include <vector>
 
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
@@ -263,6 +266,44 @@ TEST(Distributions, TruncatedNormalPdfNormalised) {
 TEST(Distributions, TruncatedNormalPdfOutsideWindow) {
   EXPECT_EQ(logTruncatedNormalPdf(-1.0, 0.0, 1.0, 0.0, 2.0),
             -std::numeric_limits<double>::infinity());
+}
+
+TEST(Distributions, NormalMassIsExactlyOneBeyondTheShortcutThreshold) {
+  // logTruncatedNormalPdf skips its normaliser when both bounds lie
+  // kMassOneZ or more standard deviations out, which is bit-identical only
+  // if the mass it would have computed, normalCdf(zHi) - normalCdf(zLo), is
+  // exactly 1.0 there. That depends on the libm's erfc, so sweep it here:
+  // 31,000 z values in [9, 40) plus the far tail. Each side is checked on
+  // its own, so every (zHi, zLo) pair in the range gives 1.0 - tiny == 1.0.
+  const auto normalCdf = [](double z) {
+    return 0.5 * std::erfc(-z / std::numbers::sqrt2);
+  };
+  std::vector<double> zs;
+  for (int i = 0; i < 31000; ++i) zs.push_back(kMassOneZ + 0.001 * i);
+  for (double z : {40.0, 1e3, 1e300, std::numeric_limits<double>::infinity()}) {
+    zs.push_back(z);
+  }
+  for (double z : zs) {
+    ASSERT_EQ(normalCdf(z), 1.0) << "z = " << z;
+    ASSERT_EQ(1.0 - normalCdf(-z), 1.0) << "z = " << z;
+    ASSERT_EQ(normalCdf(z) - normalCdf(-z), 1.0) << "z = " << z;
+  }
+}
+
+TEST(Distributions, TruncatedNormalShortcutMatchesTheFullNormaliser) {
+  // Wide windows take the shortcut; the value must be the full formula's.
+  Stream s(78);
+  for (int i = 0; i < 2000; ++i) {
+    const double mu = s.uniform(-50.0, 50.0);
+    const double sigma = s.uniform(0.1, 3.0);
+    const double lo = mu - sigma * s.uniform(kMassOneZ, 60.0);
+    const double hi = mu + sigma * s.uniform(kMassOneZ, 60.0);
+    const double x = s.uniform(lo, hi);
+    const double mass = 0.5 * std::erfc(-((hi - mu) / sigma) / std::numbers::sqrt2) -
+                        0.5 * std::erfc(-((lo - mu) / sigma) / std::numbers::sqrt2);
+    ASSERT_EQ(logTruncatedNormalPdf(x, mu, sigma, lo, hi),
+              logNormalPdf(x, mu, sigma) - std::log(mass));
+  }
 }
 
 class AliasTableTest : public ::testing::TestWithParam<std::vector<double>> {};

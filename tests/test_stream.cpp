@@ -63,8 +63,12 @@ TEST(Matching, IoUMatchingPairsGreedilyAndReportsLeftovers) {
       analysis::matchCirclesIoU(found, truth, 0.25);
   ASSERT_EQ(result.matches.size(), 2u);
   for (const analysis::IouMatch& m : result.matches) {
-    if (m.truthIndex == 0) EXPECT_EQ(m.foundIndex, 1u);
-    if (m.truthIndex == 1) EXPECT_EQ(m.foundIndex, 0u);
+    if (m.truthIndex == 0) {
+      EXPECT_EQ(m.foundIndex, 1u);
+    }
+    if (m.truthIndex == 1) {
+      EXPECT_EQ(m.foundIndex, 0u);
+    }
     EXPECT_GE(m.iou, 0.25);
   }
   ASSERT_EQ(result.unmatchedFound.size(), 1u);
