@@ -362,6 +362,19 @@ void JobQueue::logLocked(std::uint64_t id, Record& record,
   if (record.events.size() >= kMaxEvents) record.events.pop_front();
   record.events.push_back(JobEvent{type, id, done, total, seq});
   logged_.notify_all();
+  for (const auto& [token, hook] : watchers_) hook();
+}
+
+std::uint64_t JobQueue::addWatcher(std::function<void()> hook) {
+  const std::scoped_lock lock(mutex_);
+  const std::uint64_t token = nextWatcher_++;
+  watchers_.emplace(token, std::move(hook));
+  return token;
+}
+
+void JobQueue::removeWatcher(std::uint64_t token) {
+  const std::scoped_lock lock(mutex_);
+  watchers_.erase(token);
 }
 
 void JobQueue::pruneLocked() {

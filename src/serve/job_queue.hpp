@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -179,6 +180,14 @@ class JobQueue {
       std::uint64_t id, std::uint64_t afterSeq,
       std::chrono::milliseconds timeout) const;
 
+  /// Call `hook` after every append to any job's log. It runs under the
+  /// queue lock, so once removeWatcher() returns no call is in flight; it
+  /// must not block or call back into the queue. A poll loop that follows
+  /// logs with zero-timeout events() calls uses it to wake. Returns a
+  /// token for removeWatcher().
+  [[nodiscard]] std::uint64_t addWatcher(std::function<void()> hook);
+  void removeWatcher(std::uint64_t token);
+
   /// Bound of one job's event log (a glob sequence can name arbitrarily
   /// many frames).
   static constexpr std::size_t kMaxEvents = 4096;
@@ -244,6 +253,8 @@ class JobQueue {
   std::condition_variable jobReady_;  ///< submit -> waitNext
   std::condition_variable idle_;      ///< finish -> waitIdle
   mutable std::condition_variable logged_;  ///< any append -> events
+  std::map<std::uint64_t, std::function<void()>> watchers_;  ///< same
+  std::uint64_t nextWatcher_ = 1;
   std::map<std::uint64_t, Record> records_;
   DeficitScheduler scheduler_;          ///< Queued ids, weighted-fair order
   std::map<std::string, ClientStats> clients_;  ///< persists across idling

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -146,6 +147,16 @@ class Server {
       std::uint64_t id, std::uint64_t afterSeq,
       std::chrono::milliseconds timeout) const {
     return queue_.events(id, afterSeq, timeout);
+  }
+
+  /// Call `hook` whenever any job's event log grows (JobQueue::addWatcher:
+  /// it runs under the queue lock and must not block). Returns a token for
+  /// removeEventWatcher().
+  [[nodiscard]] std::uint64_t addEventWatcher(std::function<void()> hook) {
+    return queue_.addWatcher(std::move(hook));
+  }
+  void removeEventWatcher(std::uint64_t token) {
+    queue_.removeWatcher(token);
   }
 
   /// Graceful shutdown: stop admitting, wait up to `drainTimeoutSeconds`

@@ -3,6 +3,8 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,34 +13,21 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <iterator>
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "engine/options.hpp"
-#include "img/pnm_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/protocol.hpp"
+#include "serve/connection.hpp"
 
 namespace mcmcpar::serve {
 
 namespace {
 
-/// Receive timeout applied to every server-side connection so handler
-/// threads poll the stopping flag instead of blocking in recv forever.
-constexpr int kPollMillis = 200;
-
-/// Binary-frame bounds: a declared dimension past kMaxFrameDim or payload
-/// past kMaxFrameBytes is rejected (TOO_LARGE) without reading the body; a
-/// payload within bounds is fully consumed even when the frame is rejected,
-/// so the connection stays usable. kFrameReadMillis bounds how long the
-/// server waits for a slow/truncated body before giving up on it.
-constexpr std::uint64_t kMaxFrameDim = 1u << 16;
-constexpr std::uint64_t kMaxFrameBytes = 1u << 30;
-constexpr int kFrameReadMillis = 30000;
-
-/// Uploads retained per connection; the oldest is dropped past the cap.
-constexpr std::size_t kMaxUploadsPerConnection = 64;
+using Clock = std::chrono::steady_clock;
 
 /// Disable Nagle's algorithm: a reply that went out as two small writes
 /// with no read between them would otherwise hold the second until the
@@ -66,95 +55,77 @@ bool sendAll(int fd, const std::string& text) {
   return true;
 }
 
-bool sendLine(int fd, const std::string& line) {
-  return sendAll(fd, line + "\n");
-}
+/// Trace rows of the command spans, one per connection: its commands run
+/// one after another, while an UPLOAD body or a WAIT stream overlaps other
+/// connections' commands on the loop thread (synthetic rows, like the
+/// shard coordinator's tile flights).
+constexpr std::int64_t kConnectionTrackBase = 1 << 20;
 
-/// Reply lines as they go on the wire: protocol::okLine/errLine plus the
-/// newline. The handlers return these bytes, so handleConnection can write
-/// each reply with one send.
-namespace response {
-
-std::string okLine(const std::string& payload) {
-  return protocol::okLine(payload) + "\n";
-}
-
-std::string errLine(const std::string& code, const std::string& message) {
-  return protocol::errLine(code, message) + "\n";
-}
-
-}  // namespace response
-
-/// Read exactly `want` bytes of a frame body into `out` (or discard them
-/// when `out` is null), draining `buffer` (bytes received past the header
-/// line) first. False on EOF, error, stop, or the frame-read deadline.
-bool readBody(int fd, std::string& buffer, char* out, std::size_t want,
-              const std::atomic<bool>& stopping) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(kFrameReadMillis);
-  std::size_t got = 0;
-  char scratch[65536];
-  if (!buffer.empty()) {
-    const std::size_t take = std::min(want, buffer.size());
-    if (out != nullptr) std::memcpy(out, buffer.data(), take);
-    buffer.erase(0, take);
-    got = take;
-  }
-  while (got < want) {
-    if (stopping.load() || std::chrono::steady_clock::now() >= deadline) {
-      return false;
-    }
-    char* dst = out != nullptr ? out + got : scratch;
-    const std::size_t room =
-        out != nullptr ? want - got : std::min(want - got, sizeof(scratch));
-    const ssize_t n = ::recv(fd, dst, room, 0);
-    if (n == 0) return false;  // client closed mid-frame
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        continue;  // poll tick: re-check stopping_ and the deadline
-      }
-      return false;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// The command word metrics are labelled with. Returns a member of the
-/// fixed protocol vocabulary (or "UNKNOWN") rather than the raw token, so
-/// a garbage-spewing client cannot create unbounded label cardinality.
-const char* commandWord(const std::string& line) {
-  static constexpr const char* kCommands[] = {
-      "PING",   "SUBMIT", "UPLOAD",  "STATUS",   "RESULT", "REPORT",
-      "CANCEL", "WAIT",   "STATS",   "METRICS",  "SHUTDOWN"};
-  const std::size_t space = line.find_first_of(" \t");
-  const std::string word =
-      space == std::string::npos ? line : line.substr(0, space);
-  for (const char* known : kCommands) {
-    if (word == known) return known;
-  }
-  return "UNKNOWN";
-}
-
-/// +1 on a gauge for this scope (active connection tracking survives every
-/// exit path of the handler).
-class GaugeScope {
- public:
-  explicit GaugeScope(obs::Gauge& gauge) : gauge_(gauge) { gauge_.add(1.0); }
-  ~GaugeScope() { gauge_.add(-1.0); }
-  GaugeScope(const GaugeScope&) = delete;
-  GaugeScope& operator=(const GaugeScope&) = delete;
-
- private:
-  obs::Gauge& gauge_;
+/// One accepted socket and the machine that speaks its protocol.
+struct Peer {
+  int fd = -1;
+  std::int64_t track = 0;
+  Connection machine;
+  std::string outbox;   ///< reply bytes the kernel has not taken yet
+  bool broken = false;  ///< a send or recv failed: close without flushing
 };
 
-/// Parse a strict decimal id or size (engine::parseU64: no sign, no
-/// whitespace); false on anything else.
-bool parseId(const std::string& text, std::uint64_t& id) {
-  const std::optional<std::uint64_t> value = engine::parseU64(text);
-  if (value) id = *value;
-  return value.has_value();
+/// Send the outbox with one send; what the kernel would not take waits
+/// for POLLOUT.
+void flush(Peer& peer) {
+  if (peer.outbox.empty()) return;
+  const ssize_t n = ::send(peer.fd, peer.outbox.data(), peer.outbox.size(),
+                           MSG_NOSIGNAL);
+  if (n >= 0) {
+    peer.outbox.erase(0, static_cast<std::size_t>(n));
+  } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+    peer.broken = true;
+  }
+}
+
+/// Hand one chunk of what the socket holds to the machine. False once it
+/// holds nothing more (EOF, an error, or no data).
+bool receive(Peer& peer) {
+  char chunk[65536];
+  const ssize_t n = ::recv(peer.fd, chunk, sizeof(chunk), 0);
+  if (n > 0) {
+    peer.machine.receive({chunk, static_cast<std::size_t>(n)});
+    return true;
+  }
+  if (n == 0) {
+    peer.machine.receiveEof();
+  } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+    peer.broken = true;
+  }
+  return false;
+}
+
+/// Every command is counted, timed and traced from its start to the moment
+/// its final reply went to the kernel. WAIT's time spans its whole event
+/// stream by design.
+void record(const Peer& peer, const Connection::Finished& done) {
+  const Clock::time_point end = Clock::now();
+  obs::Registry& registry = obs::Registry::global();
+  registry
+      .counter("mcmcpar_serve_commands_total",
+               "Socket commands handled, by command word.",
+               {{"command", done.command}})
+      .add();
+  registry
+      .histogram("mcmcpar_serve_command_seconds",
+                 "Wall time from parsing a command to its final reply.",
+                 obs::latencyBuckets(), {{"command", done.command}})
+      .observe(std::chrono::duration<double>(end - done.start).count());
+  obs::Tracer& tracer = obs::Tracer::global();
+  if (tracer.enabled()) {
+    tracer.record("serve", std::string("cmd:") + done.command, done.start,
+                  end, {}, peer.track);
+  }
+}
+
+obs::Gauge& activeConnections() {
+  return obs::Registry::global().gauge("mcmcpar_serve_active_connections",
+                                       "Socket connections currently open.");
 }
 
 }  // namespace
@@ -166,7 +137,7 @@ bool parseId(const std::string& text, std::uint64_t& id) {
 SocketFrontend::SocketFrontend(Server& server, std::uint16_t port,
                                std::function<void()> onShutdown)
     : server_(server), onShutdown_(std::move(onShutdown)) {
-  listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listenFd_ < 0) {
     throw ProtocolError(std::string("socket(): ") + std::strerror(errno));
   }
@@ -179,393 +150,142 @@ SocketFrontend::SocketFrontend(Server& server, std::uint16_t port,
   addr.sin_port = htons(port);
   if (::bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
           0 ||
-      ::listen(listenFd_, 64) < 0) {
+      ::listen(listenFd_, 64) < 0 ||
+      (wakeFd_ = ::eventfd(0, EFD_NONBLOCK)) < 0) {
     const std::string reason = std::strerror(errno);
     ::close(listenFd_);
-    listenFd_ = -1;
     throw ProtocolError("cannot listen on 127.0.0.1:" + std::to_string(port) +
                         ": " + reason);
   }
   socklen_t len = sizeof(addr);
   (void)getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
-  setRecvTimeout(listenFd_, kPollMillis);  // accept() polls via SO_RCVTIMEO
 
-  acceptor_ = std::jthread([this] { acceptLoop(); });
+  (void)activeConnections();  // in the exposition before the first accept
+  watcher_ = server_.addEventWatcher([this] { wake(); });
+  loop_ = std::jthread([this](const std::stop_token& stop) { run(stop); });
 }
 
 SocketFrontend::~SocketFrontend() { stop(); }
 
 void SocketFrontend::stop() {
-  if (stopping_.exchange(true)) return;
-  const int fd = listenFd_.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (acceptor_.joinable()) acceptor_.join();
-  std::list<std::unique_ptr<Connection>> connections;
-  {
-    const std::scoped_lock lock(connectionsMutex_);
-    connections.swap(connections_);
-  }
-  connections.clear();  // joins: handlers see stopping_ within kPollMillis
+  if (!loop_.joinable()) return;
+  loop_.request_stop();
+  wake();
+  loop_.join();
+  server_.removeEventWatcher(watcher_);
+  ::close(wakeFd_);
 }
 
-void SocketFrontend::acceptLoop() {
-  while (!stopping_.load()) {
-    const int listenFd = listenFd_.load();
-    if (listenFd < 0) break;
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load()) break;
-      continue;  // EAGAIN (poll tick) or transient error
-    }
-    setRecvTimeout(fd, kPollMillis);
-    setNoDelay(fd);
-    const std::scoped_lock lock(connectionsMutex_);
-    // Reap handlers that already finished (their join is instantaneous).
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      it = (*it)->done.load() ? connections_.erase(it) : std::next(it);
-    }
-    auto connection = std::make_unique<Connection>();
-    Connection* raw = connection.get();
-    connection->thread = std::jthread([this, fd, raw] {
-      handleConnection(fd);
-      raw->done.store(true);
-    });
-    connections_.push_back(std::move(connection));
-  }
+void SocketFrontend::wake() const {
+  const std::uint64_t one = 1;
+  // Fails only when the counter is saturated, i.e. a wake is pending.
+  [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof(one));
 }
 
-void SocketFrontend::handleConnection(int fd) {
-  obs::Registry& registry = obs::Registry::global();
-  const GaugeScope connectionGauge(
-      registry.gauge("mcmcpar_serve_active_connections",
-                     "Socket connections currently open."));
-  std::string buffer;
-  char chunk[4096];
-  bool keepOpen = true;
-  ConnectionState state;
-  while (keepOpen && !stopping_.load()) {
-    const std::size_t newline = buffer.find('\n');
-    if (newline == std::string::npos) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n == 0) break;  // client closed
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          continue;  // poll tick: re-check stopping_
-        }
-        break;
+void SocketFrontend::run(const std::stop_token& stop) {
+  obs::Gauge& active = activeConnections();
+  std::vector<std::unique_ptr<Peer>> peers;
+  std::vector<pollfd> fds;
+  std::int64_t accepted = 0;
+  bool shutdownFired = false;
+
+  // Run the peer's machine until it needs more bytes or events, sending
+  // each step's output with one send. A peer whose kernel buffer is full
+  // runs nothing more until POLLOUT has drained its outbox.
+  const auto service = [&](Peer& peer) {
+    while (peer.outbox.empty() && !peer.broken &&
+           peer.machine.step(Clock::now())) {
+      if (peer.machine.takeShutdown() && !shutdownFired) {
+        shutdownFired = true;
+        if (onShutdown_) onShutdown_();
       }
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      continue;
+      peer.outbox = peer.machine.takeOutput();
+      flush(peer);
+      if (const auto done = peer.machine.takeFinished()) record(peer, *done);
     }
-    std::string line = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    // UPLOAD is the one command followed by a binary body, so it cannot go
-    // through the line dispatcher: the body is consumed here, from `buffer`
-    // (bytes already received) plus the socket.
-    const char* command = commandWord(line);
-    const auto commandStart = std::chrono::steady_clock::now();
-    obs::Span commandSpan("serve", std::string("cmd:") + command);
-    const std::string reply =
-        line.rfind("UPLOAD", 0) == 0 &&
-                (line.size() == 6 || line[6] == ' ' || line[6] == '\t')
-            ? handleUpload(line, fd, buffer, state, keepOpen)
-            : dispatch(line, fd, state, keepOpen);
-    const bool sent = reply.empty() || sendAll(fd, reply);
-    // Every command is counted and timed — including REPORT and WAIT,
-    // which the pre-registry stats never saw. WAIT's latency spans its
-    // whole event stream by design.
-    registry
-        .counter("mcmcpar_serve_commands_total",
-                 "Socket commands handled, by command word.",
-                 {{"command", command}})
-        .add();
-    registry
-        .histogram("mcmcpar_serve_command_seconds",
-                   "Wall time from parsing a command to its final reply.",
-                   obs::latencyBuckets(), {{"command", command}})
-        .observe(std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - commandStart)
-                     .count());
-    if (!sent) break;
-  }
-  ::close(fd);
-}
-
-std::string SocketFrontend::handleUpload(const std::string& line, int fd,
-                                         std::string& buffer,
-                                         ConnectionState& state,
-                                         bool& keepOpen) {
-  std::istringstream tokens(line);
-  std::string command, id, wText, hText, nText, extra;
-  tokens >> command >> id >> wText >> hText >> nText;
-  std::uint64_t width = 0;
-  std::uint64_t height = 0;
-  std::uint64_t nbytes = 0;
-  bool headerOk = !id.empty() && parseId(wText, width) &&
-                  parseId(hText, height) && parseId(nText, nbytes);
-  bool oneshot = false;
-  if (headerOk && tokens >> extra) {
-    if (extra == "oneshot" && !(tokens >> extra)) {
-      oneshot = true;
-    } else {
-      headerOk = false;
-    }
-  }
-  if (!headerOk) {
-    // The body length is unknowable from a malformed header, so the stream
-    // cannot be resynchronised: reply and drop the connection.
-    keepOpen = false;
-    return response::errLine(
-        protocol::kErrBadFrame,
-        "expected 'UPLOAD <id> <w> <h> <nbytes> [oneshot]', got '" + line +
-            "'");
-  }
-
-  // A well-formed header declares the body length, so a rejected frame can
-  // still be drained and the connection kept: discard the payload (bounded
-  // by kMaxFrameBytes — past that, close instead of reading a gigabyte).
-  const auto reject = [&](const char* code, const std::string& message) {
-    if (nbytes > kMaxFrameBytes ||
-        !readBody(fd, buffer, nullptr, nbytes, stopping_)) {
-      keepOpen = false;
-    }
-    return response::errLine(code, message);
   };
 
-  if (width == 0 || height == 0 || nbytes == 0) {
-    return reject(protocol::kErrBadFrame,
-                  "zero-size frame: w, h and nbytes must all be > 0");
-  }
-  if (width > kMaxFrameDim || height > kMaxFrameDim ||
-      nbytes > kMaxFrameBytes) {
-    return reject(protocol::kErrTooLarge,
-                  "frame exceeds protocol bounds (max dimension " +
-                      std::to_string(kMaxFrameDim) + ", max payload " +
-                      std::to_string(kMaxFrameBytes) + " bytes)");
-  }
-  const std::uint64_t pixels = width * height;
-  if (nbytes != pixels && nbytes != 4 * pixels) {
-    return reject(protocol::kErrBadFrame,
-                  "nbytes " + nText + " matches neither w*h (gray8, " +
-                      std::to_string(pixels) + ") nor 4*w*h (float32, " +
-                      std::to_string(4 * pixels) + ")");
-  }
-  const std::size_t cacheCapacity = server_.options().cacheBytes;
-  if (cacheCapacity != 0 && pixels * sizeof(float) > cacheCapacity) {
-    return reject(protocol::kErrTooLarge,
-                  "decoded image (" + std::to_string(pixels * sizeof(float)) +
-                      " bytes) exceeds the server's image cache capacity (" +
-                      std::to_string(cacheCapacity) + " bytes)");
-  }
-
-  std::string body(static_cast<std::size_t>(nbytes), '\0');
-  if (!readBody(fd, buffer, body.data(), body.size(), stopping_)) {
-    keepOpen = false;  // truncated mid-frame: the stream is desynchronised
-    return response::errLine(protocol::kErrBadFrame,
-                             "truncated frame: connection delivered fewer "
-                             "than the declared " +
-                                 nText + " payload bytes");
-  }
-
-  const int w = static_cast<int>(width);
-  const int h = static_cast<int>(height);
-  const bool floatFrame = nbytes == 4 * pixels;
-  const std::uint64_t hash = ImageCache::hashFrame(
-      w, h, floatFrame ? 4 : 1, body.data(), body.size());
-  img::ImageF image(w, h);
-  if (floatFrame) {
-    std::memcpy(image.pixels().data(), body.data(), body.size());
-  } else {
-    for (std::size_t i = 0; i < pixels; ++i) {
-      image.pixels()[i] = static_cast<float>(
-                              static_cast<unsigned char>(body[i])) /
-                          255.0f;
-    }
-  }
-  std::shared_ptr<const img::ImageF> interned =
-      server_.internUpload(hash, std::move(image), oneshot);
-
-  if (state.uploads.find(id) == state.uploads.end()) {
-    state.uploadOrder.push_back(id);
-    if (state.uploadOrder.size() > kMaxUploadsPerConnection) {
-      state.uploads.erase(state.uploadOrder.front());
-      state.uploadOrder.erase(state.uploadOrder.begin());
-    }
-  }
-  state.uploads[id] = std::move(interned);
-  return response::okLine(id + " " + ImageCache::hashHex(hash));
-}
-
-std::string SocketFrontend::dispatch(const std::string& line, int fd,
-                                     ConnectionState& state, bool& keepOpen) {
-  std::istringstream tokens(line);
-  std::string command;
-  tokens >> command;
-
-  if (command == "PING") return response::okLine("pong");
-
-  if (command == "SUBMIT") {
-    std::string payload;
-    std::getline(tokens, payload);
-    try {
-      const JobSpec entry = parseManifestLine(payload);
-      std::shared_ptr<const img::ImageF> inlineImage;
-      std::vector<std::shared_ptr<const img::ImageF>> inlineFrames;
-      if (entry.inlineImage && !entry.sequence.empty()) {
-        // An inline sequence names its frames `<image>.0` .. `<image>.N-1`
-        // in this connection's upload namespace; gather them in order.
-        const std::optional<std::uint64_t> count =
-            stream::parseFrameCount(entry.sequence);
-        if (!count) {
-          return response::errLine(
-              protocol::kErrBadJob,
-              "@sequence with @image=inline requires a decimal frame "
-              "count, got '" +
-                  entry.sequence + "'");
+  while (!stop.stop_requested()) {
+    fds.assign({pollfd{listenFd_, POLLIN, 0}, pollfd{wakeFd_, POLLIN, 0}});
+    std::optional<Clock::time_point> due;
+    for (const auto& peer : peers) {
+      short events = 0;
+      if (!peer->outbox.empty()) {
+        events = POLLOUT;
+      } else {
+        if (peer->machine.reading()) events = POLLIN;
+        if (const auto deadline = peer->machine.deadline()) {
+          due = std::min(due.value_or(*deadline), *deadline);
         }
-        for (std::uint64_t k = 0; k < *count; ++k) {
-          const std::string frameId =
-              entry.image + "." + std::to_string(k);
-          const auto it = state.uploads.find(frameId);
-          if (it == state.uploads.end()) {
-            return response::errLine(
-                protocol::kErrBadJob,
-                "@sequence: no upload named '" + frameId +
-                    "' on this connection (send UPLOAD frames first)");
-          }
-          inlineFrames.push_back(it->second);
+      }
+      fds.push_back(pollfd{peer->fd, events, 0});
+    }
+    // Sleep until a socket, the event watcher or stop() wakes the loop, or
+    // the earliest UPLOAD body deadline passes.
+    const auto timeout =
+        due ? std::max<std::int64_t>(
+                  0, std::chrono::ceil<std::chrono::milliseconds>(
+                         *due - Clock::now())
+                         .count())
+            : -1;
+    if (::poll(fds.data(), fds.size(), static_cast<int>(timeout)) < 0) {
+      continue;  // EINTR
+    }
+
+    if ((fds[1].revents & POLLIN) != 0) {
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t n = ::read(wakeFd_, &count, sizeof(count));
+    }
+    // Every peer is serviced on every wake: an open WAIT follows its log,
+    // and a body past its deadline fails. Input is serviced a chunk at a
+    // time, so an UPLOAD body lands in place once its header has run, and
+    // at most 1 MB a wake, so one sender cannot starve the others.
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      Peer& peer = *peers[i];
+      const short revents = fds[i + 2].revents;
+      if ((revents & POLLIN) != 0) {
+        for (int reads = 0;
+             reads < 16 && peer.machine.reading() && receive(peer); ++reads) {
+          service(peer);
         }
-      } else if (entry.inlineImage) {
-        const auto it = state.uploads.find(entry.image);
-        if (it == state.uploads.end()) {
-          return response::errLine(
-              protocol::kErrBadJob,
-              "@image=inline: no upload named '" + entry.image +
-                  "' on this connection (send an UPLOAD frame first)");
-        }
-        inlineImage = it->second;
+      } else if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
+        peer.broken = true;
       }
-      const std::uint64_t id = server_.submit(entry, std::move(inlineImage),
-                                              std::move(inlineFrames));
-      return response::okLine(std::to_string(id));
-    } catch (const QueueFullError& e) {
-      return response::errLine(protocol::kErrQueueFull, e.what());
-    } catch (const engine::EngineError& e) {
-      return response::errLine(server_.draining() ? protocol::kErrShuttingDown
-                                                  : protocol::kErrBadJob,
-                               e.what());
-    } catch (const img::PnmError& e) {
-      return response::errLine(protocol::kErrBadJob, e.what());
-    } catch (const std::exception& e) {
-      // Any other parser/admission exception must reject the request, not
-      // escape the connection thread and terminate the whole server.
-      return response::errLine(protocol::kErrBadJob, e.what());
+      if ((revents & POLLOUT) != 0) flush(peer);
+      service(peer);
+    }
+    std::erase_if(peers, [&](const std::unique_ptr<Peer>& peer) {
+      const bool done = peer->broken ||
+                        (peer->machine.closed() && peer->outbox.empty());
+      if (done) {
+        ::close(peer->fd);
+        active.add(-1.0);
+      }
+      return done;
+    });
+    if ((fds[0].revents & POLLIN) != 0) {
+      int fd = -1;
+      while ((fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_NONBLOCK)) >=
+             0) {
+        setNoDelay(fd);
+        peers.push_back(std::make_unique<Peer>(
+            fd, kConnectionTrackBase + accepted++, Connection(server_)));
+        active.add(1.0);
+      }
     }
   }
 
-  if (command == "STATUS" || command == "RESULT" || command == "REPORT" ||
-      command == "CANCEL" || command == "WAIT") {
-    std::string idText;
-    tokens >> idText;
-    std::uint64_t id = 0;
-    if (!parseId(idText, id)) {
-      return response::errLine(protocol::kErrBadRequest,
-                               "expected '" + command + " <id>'");
-    }
-    const std::optional<JobStatus> status = server_.status(id);
-    if (!status) {
-      return response::errLine(protocol::kErrUnknownJob,
-                               "no such job " + idText);
-    }
-
-    if (command == "STATUS") {
-      return response::okLine(idText + " " + toString(status->state) + " " +
-                              std::to_string(status->progressDone) + " " +
-                              std::to_string(status->progressTotal));
-    }
-    if (command == "RESULT" || command == "REPORT") {
-      const std::optional<engine::RunReport> report = server_.result(id);
-      if (!report) {
-        return response::errLine(
-            protocol::kErrPending,
-            "job " + idText + " is " + toString(status->state));
-      }
-      return response::okLine(
-          idText + " " +
-          (command == "REPORT" ? protocol::reportJson(*status, *report)
-                               : protocol::jobJson(*status, *report)));
-    }
-    if (command == "CANCEL") {
-      switch (server_.cancel(id)) {
-        case CancelOutcome::QueuedCancelled:
-          return response::okLine(idText + " cancelled");
-        case CancelOutcome::RunningFlagged:
-          return response::okLine(idText + " cancelling");
-        case CancelOutcome::AlreadyTerminal:
-          return response::okLine(idText + " already-terminal");
-        case CancelOutcome::Unknown:
-          break;
-      }
-      return response::errLine(protocol::kErrUnknownJob,
-                               "no such job " + idText);
-    }
-
-    // WAIT: replay the job's event log from ADMITTED, then follow it until
-    // the terminal event. Each batch leaves in one send; the terminal batch
-    // returns with the `OK <id> <state>` line, so the reply's tail is never
-    // split.
-    std::uint64_t afterSeq = 0;
-    while (!stopping_.load()) {
-      const std::optional<std::vector<JobEvent>> batch =
-          server_.events(id, afterSeq, std::chrono::milliseconds(kPollMillis));
-      if (!batch) {
-        return response::errLine(protocol::kErrUnknownJob,
-                                 "job " + idText + " no longer retained");
-      }
-      if (batch->empty()) continue;
-      std::string out;
-      for (const JobEvent& event : *batch) {
-        out += protocol::eventLine(event) + '\n';
-      }
-      afterSeq = batch->back().seq;
-      if (const std::optional<JobState> finalState =
-              terminalState(batch->back().type)) {
-        return out + response::okLine(idText + " " + toString(*finalState));
-      }
-      if (!sendAll(fd, out)) {
-        keepOpen = false;
-        break;
-      }
-    }
-    return "";
+  // stop(): every open WAIT follows its log once more, so a job the drain
+  // ended still sends its terminal events, and what is queued goes out as
+  // far as the kernel takes it.
+  for (const auto& peer : peers) {
+    flush(*peer);
+    service(*peer);
+    ::close(peer->fd);
   }
-
-  if (command == "STATS") {
-    return response::okLine(protocol::statsJson(server_.stats()));
-  }
-
-  if (command == "METRICS") {
-    // Byte-framed like UPLOAD in reverse: `OK <nbytes>` then exactly
-    // nbytes of Prometheus text exposition, so line-oriented clients can
-    // skip the body while scrapers read it verbatim (docs/PROTOCOL.md).
-    const std::string body = obs::Registry::global().renderPrometheus();
-    return response::okLine(std::to_string(body.size())) + body;
-  }
-
-  if (command == "SHUTDOWN") {
-    keepOpen = false;
-    if (!shutdownFired_.exchange(true) && onShutdown_) onShutdown_();
-    return response::okLine("draining");
-  }
-
-  return response::errLine(protocol::kErrBadRequest,
-                           "unknown command '" + command + "'");
+  active.add(-static_cast<double>(peers.size()));
+  ::close(listenFd_);
 }
 
 // ---------------------------------------------------------------------------
@@ -608,7 +328,7 @@ void Client::close() {
 
 void Client::send(const std::string& line) {
   if (fd_ < 0) throw ProtocolError("not connected");
-  if (!sendLine(fd_, line)) {
+  if (!sendAll(fd_, line + "\n")) {
     throw ProtocolError("send failed: " + std::string(std::strerror(errno)));
   }
 }
@@ -653,12 +373,10 @@ std::uint64_t Client::submit(const std::string& jobLine) {
   std::istringstream tokens(reply);
   std::string status, idText;
   tokens >> status >> idText;
-  std::uint64_t id = 0;
   if (status == "ERR") throw RejectedError("SUBMIT rejected: " + reply);
-  if (status != "OK" || !parseId(idText, id)) {
-    throw ProtocolError("SUBMIT rejected: " + reply);
-  }
-  return id;
+  const std::optional<std::uint64_t> id = engine::parseU64(idText);
+  if (status != "OK" || !id) throw ProtocolError("SUBMIT rejected: " + reply);
+  return *id;
 }
 
 std::string Client::upload(const std::string& id, const img::ImageU8& image,
@@ -706,11 +424,11 @@ std::string Client::metrics() {
   std::istringstream tokens(header);
   std::string status, sizeText;
   tokens >> status >> sizeText;
-  std::uint64_t nbytes = 0;
-  if (status != "OK" || !parseId(sizeText, nbytes)) {
+  const std::optional<std::uint64_t> nbytes = engine::parseU64(sizeText);
+  if (status != "OK" || !nbytes) {
     throw ProtocolError("METRICS failed: " + header);
   }
-  const auto want = static_cast<std::size_t>(nbytes);
+  const auto want = static_cast<std::size_t>(*nbytes);
   while (buffer_.size() < want) {
     receive("server closed mid-METRICS body",
             "timed out reading the METRICS body");

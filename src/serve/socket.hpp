@@ -1,16 +1,10 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/server.hpp"
 
@@ -30,36 +24,20 @@ class RejectedError : public ProtocolError {
   using ProtocolError::ProtocolError;
 };
 
-/// The TCP front-end: newline-delimited commands over 127.0.0.1, one
-/// handler thread per connection, translated into Server calls.
-///
-/// Commands (normative spec with the full grammar and a worked transcript:
-/// docs/PROTOCOL.md):
-///   SUBMIT <job line>   -> OK <id>
-///   UPLOAD <id> <w> <h> <nbytes> [oneshot]
-///                       -> binary frame: <nbytes> raw payload bytes follow
-///                          the newline; reply OK <id> <hash> — the image
-///                          is interned by content hash and addressable as
-///                          `<id> ... @image=inline` on this connection
-///   STATUS <id>         -> OK <id> <state> <done> <total>
-///   RESULT <id>         -> OK <id> <json>
-///   REPORT <id>         -> OK <id> <json + circles_detail> (shard merges)
-///   CANCEL <id>         -> OK <id> cancelled|cancelling|already-terminal
-///   WAIT <id>           -> the job's EVENT log from ADMITTED seq=1 until
-///                          its terminal event, then OK <id> <state>
-///   STATS               -> OK <json>
-///   METRICS             -> OK <nbytes>, then <nbytes> raw bytes of
-///                          Prometheus text exposition (obs::Registry)
-///   PING                -> OK pong
-///   SHUTDOWN            -> OK draining (and fires the onShutdown callback)
-/// Failures reply `ERR <code> <message>` (QUEUE_FULL when bounded
-/// admission rejects a SUBMIT; BAD_FRAME/TOO_LARGE reject an UPLOAD).
+/// The TCP front-end: the socket protocol of docs/PROTOCOL.md §3 (the
+/// normative command grammar, replies and error codes) on 127.0.0.1,
+/// served by one thread running a poll(2) loop over the listener, a wake
+/// fd and every connection. Each connection is a serve::Connection
+/// machine, which turns the bytes read into Server calls and reply bytes;
+/// an open WAIT is a cursor into its job's event log, advanced when the
+/// server's event watcher wakes the loop. One thread, whatever the number
+/// of connections or open WAITs.
 class SocketFrontend {
  public:
-  /// Bind 127.0.0.1:`port` (0 = pick an ephemeral port) and start
-  /// accepting. `onShutdown` is invoked (once) from a connection thread
-  /// when a client issues SHUTDOWN; it must not block — typically it wakes
-  /// the main loop, which then calls Server::shutdown and stop().
+  /// Bind 127.0.0.1:`port` (0 = pick an ephemeral port) and start the
+  /// loop thread. `onShutdown` is invoked (once) from the loop thread when
+  /// a client issues SHUTDOWN; it must not block — typically it wakes the
+  /// main thread, which then calls Server::shutdown and stop().
   /// Throws ProtocolError when the socket cannot be bound.
   SocketFrontend(Server& server, std::uint16_t port,
                  std::function<void()> onShutdown = {});
@@ -71,55 +49,23 @@ class SocketFrontend {
   /// The bound port (the resolved one when constructed with 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Close the listener, disconnect clients and join handler threads.
-  /// Idempotent; the destructor calls it.
+  /// Follow every open WAIT one last time and send what is queued (as
+  /// much as the kernel takes), then close every connection and the
+  /// listener and join the loop thread. Idempotent; the destructor calls
+  /// it. Call it from one thread.
   void stop();
 
  private:
-  /// Per-connection state: the UPLOAD namespace. Uploads are addressable
-  /// only from the connection that sent them and die with it — jobs that
-  /// consumed one keep the image pinned through the server instead. The
-  /// namespace is bounded (oldest dropped) so an id-churning client cannot
-  /// grow server memory.
-  struct ConnectionState {
-    std::map<std::string, std::shared_ptr<const img::ImageF>> uploads;
-    std::vector<std::string> uploadOrder;  ///< insertion order, for the cap
-  };
-
-  void acceptLoop();
-  void handleConnection(int fd);
-  /// Run one command line and return its reply as wire-ready bytes (empty
-  /// = nothing to send), which handleConnection writes with one send: a
-  /// reply split over two writes would stall behind the peer's delayed ACK.
-  /// Only WAIT writes to `fd` itself, one send per batch of logged events;
-  /// the terminal batch returns with the `OK` line.
-  [[nodiscard]] std::string dispatch(const std::string& line, int fd,
-                                     ConnectionState& state, bool& keepOpen);
-  /// Consume and validate one binary frame (the UPLOAD body follows the
-  /// header line). `buffer` holds bytes already received past the header.
-  /// Returns the wire-ready reply, like dispatch.
-  [[nodiscard]] std::string handleUpload(const std::string& line, int fd,
-                                         std::string& buffer,
-                                         ConnectionState& state,
-                                         bool& keepOpen);
-
-  /// One live (or finished-but-unreaped) connection handler.
-  struct Connection {
-    std::atomic<bool> done{false};
-    std::jthread thread;  ///< last member: joins before `done` tears down
-  };
+  void run(const std::stop_token& stop);
+  void wake() const;
 
   Server& server_;
   std::function<void()> onShutdown_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> shutdownFired_{false};
-  std::atomic<int> listenFd_{-1};  ///< stop() closes it under acceptLoop
+  int listenFd_ = -1;  ///< the loop thread closes it
+  int wakeFd_ = -1;    ///< eventfd: stop() and the event watcher
+  std::uint64_t watcher_ = 0;
   std::uint16_t port_ = 0;
-  // Finished handlers are reaped on the next accept (a long-lived server
-  // would otherwise accumulate dead thread handles); stop() joins the rest.
-  std::mutex connectionsMutex_;
-  std::list<std::unique_ptr<Connection>> connections_;
-  std::jthread acceptor_;  ///< last member: joins before the rest tears down
+  std::jthread loop_;  ///< last member: joins before the rest tears down
 };
 
 /// A tiny blocking client of the serve socket protocol — what

@@ -1399,6 +1399,73 @@ TEST(Socket, TruncatedFrameIsBadFrame) {
   server.shutdown(5.0);
 }
 
+/// Threads of this process.
+std::size_t threadCount() {
+  const fs::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(fs::begin(tasks), fs::end(tasks)));
+}
+
+double activeConnections() {
+  return obs::Registry::global()
+      .value("mcmcpar_serve_active_connections")
+      .value_or(0.0);
+}
+
+// One poll loop serves every connection: 32 idle ones and 3 WAITs on a
+// running job add one thread, not 36, and stop() returns at once with all
+// of them open.
+TEST(Socket, OneLoopThreadServesEveryConnectionAndStopsPromptly) {
+  Server server(tinyServer());
+  const std::size_t threadsBefore = threadCount();
+  const double connectionsBefore = activeConnections();
+  SocketFrontend frontend(server, /*port=*/0);
+  const std::uint64_t id = server.submitLine("synth serial @iters=100000000");
+  std::vector<Client> clients(35);
+  for (Client& client : clients) {
+    client.connect("127.0.0.1", frontend.port(), 30.0);
+  }
+  for (std::size_t i = 32; i < clients.size(); ++i) {
+    clients[i].send("WAIT " + std::to_string(id));
+    EXPECT_EQ(clients[i].readLine(),
+              "EVENT " + std::to_string(id) + " ADMITTED seq=1");
+  }
+  EXPECT_TRUE(waitFor(
+      [&] { return activeConnections() - connectionsBefore == 35.0; }))
+      << activeConnections() - connectionsBefore;
+  EXPECT_LE(threadCount(), threadsBefore + 1);
+
+  const auto start = std::chrono::steady_clock::now();
+  frontend.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 100ms);
+  EXPECT_EQ(activeConnections(), connectionsBefore);
+  server.shutdown(0.0);
+}
+
+// PROTOCOL.md §5 promise 4: a WAIT open when the server drains receives
+// its terminal events before stop() closes the connection.
+TEST(Socket, StopDeliversTheTerminalEventsOfOpenWaits) {
+  Server server(tinyServer());
+  SocketFrontend frontend(server, /*port=*/0);
+  Client client;
+  client.connect("127.0.0.1", frontend.port(), 30.0);
+  const std::uint64_t id = client.submit("synth serial @iters=100000000");
+  const std::string idText = std::to_string(id);
+  client.send("WAIT " + idText);
+  EXPECT_EQ(client.readLine(), "EVENT " + idText + " ADMITTED seq=1");
+  server.shutdown(0.0);
+  frontend.stop();
+  std::vector<std::string> lines;
+  while (lines.empty() || lines.back().rfind("OK", 0) != 0) {
+    lines.push_back(client.readLine());
+  }
+  ASSERT_GE(lines.size(), 2u);
+  EXPECT_EQ(lines[lines.size() - 2].rfind("EVENT " + idText + " CANCELLED", 0),
+            0u)
+      << lines[lines.size() - 2];
+  EXPECT_EQ(lines.back(), "OK " + idText + " cancelled");
+}
+
 TEST(Server, OneshotJobDoesNotPolluteTheImageCache) {
   const TempDir dir;
   const std::string warm = writeScenePgm(dir.path, "warm.pgm", 64, 5);

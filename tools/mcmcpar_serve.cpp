@@ -13,17 +13,19 @@
 // SIGINT/SIGTERM or a client SHUTDOWN command begin a graceful drain
 // bounded by --drain-timeout.
 
-#include <atomic>
+#include <signal.h>
+#include <unistd.h>
+
 #include <chrono>
-#include <csignal>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-
 #include <vector>
 
 #include "engine/options.hpp"
@@ -37,10 +39,6 @@
 using namespace mcmcpar;
 
 namespace {
-
-std::atomic<bool> shutdownRequested{false};
-
-void onSignal(int) { shutdownRequested.store(true); }
 
 struct CliOptions {
   std::optional<unsigned> listenPort;  // --listen (0 = ephemeral)
@@ -186,6 +184,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // SIGINT and SIGTERM stay blocked in every thread (threads inherit the
+  // mask), so main takes them with sigwait; SHUTDOWN raises SIGTERM.
+  sigset_t stopSignals;
+  sigemptyset(&stopSignals);
+  sigaddset(&stopSignals, SIGINT);
+  sigaddset(&stopSignals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &stopSignals, nullptr);
+
   serve::ServerOptions serverOptions = cli.server;
   std::vector<shard::Endpoint> fleet;
   if (!cli.endpointsFile.empty()) {
@@ -215,7 +221,7 @@ int main(int argc, char** argv) {
   try {
     socket = std::make_unique<serve::SocketFrontend>(
         server, static_cast<std::uint16_t>(*cli.listenPort),
-        [] { shutdownRequested.store(true); });
+        [] { ::kill(::getpid(), SIGTERM); });
   } catch (const serve::ProtocolError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
@@ -242,15 +248,13 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < pool->size(); ++i) {
         last.push_back(pool->alive(i));
       }
-      while (!st.stop_requested()) {
-        // Sleep in short ticks so shutdown stays prompt.
-        const auto wake = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(interval);
-        while (!st.stop_requested() &&
-               std::chrono::steady_clock::now() < wake) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
-        if (st.stop_requested()) break;
+      // Sleep a whole interval; a stop request ends the wait at once.
+      std::mutex mutex;
+      std::condition_variable_any stopped;
+      std::unique_lock lock(mutex);
+      const std::chrono::duration<double> period(interval);
+      while (!stopped.wait_for(lock, st, period,
+                               [&st] { return st.stop_requested(); })) {
         pool->refresh();
         for (std::size_t i = 0; i < pool->size(); ++i) {
           if (pool->alive(i) == last[i]) continue;
@@ -263,11 +267,8 @@ int main(int argc, char** argv) {
   }
   std::fflush(stdout);
 
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
-  while (!shutdownRequested.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  int received = 0;
+  sigwait(&stopSignals, &received);
   health = {};  // stop probing before the drain begins
 
   std::printf("draining (up to %.1f s) ...\n", cli.drainTimeout);
